@@ -10,7 +10,6 @@ Set DEBUG_CHECK_FINITE = True to make every forward op raise on NaN/Inf.
 
 from __future__ import annotations
 
-import json
 from typing import Callable, Sequence
 
 import numpy as np
@@ -310,23 +309,6 @@ class ParamStore:
     def zero_grad(self) -> None:
         for t in self._params.values():
             t.grad = None
-
-    def save(self, path) -> None:
-        payload = {name: {"shape": list(t.values.shape),
-                          "values": t.values.ravel().tolist()}
-                   for name, t in self._params.items()}
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-
-    def load(self, path) -> None:
-        with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        for name, entry in payload.items():
-            values = np.asarray(entry["values"], dtype=np.float64).reshape(entry["shape"])
-            if name in self._params:
-                self._params[name].values[...] = values
-            else:
-                self._register(name, Tensor(values, requires_grad=True))
 
 
 def adam_step(store: ParamStore, lr: float = 0.01, beta1: float = 0.9,

@@ -182,13 +182,3 @@ def pagerank(g: Graph, damping: float = 0.85, max_iter: int = 200,
         x = x_new
     return x
 
-
-CENTRALITY_FUNCS = {
-    "dc": degree,
-    "bc": betweenness,
-    "cc": closeness,
-    "hc": harmonic,
-    "ec": eigenvector,
-    "ci": collective_influence,
-    "pr": pagerank,
-}

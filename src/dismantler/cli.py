@@ -3,14 +3,18 @@
 Subcommands: generate, rank, dismantle, experiment, ablate. Inputs are
 either edge-list files or generator specs like "ba:n=1000,m=4". All runs
 are deterministic given their arguments; DISMANTLER_SEED provides the
-default seed. The experiment command fans out method x seed x theta runs,
-writes one output directory per run, and emits runs.csv / summary.csv.
+default seed. The experiment command builds each seed's graph once, scores
+each (method, seed) once, and reads every theta off that ranking's one
+collapse trajectory; it writes one output directory per method x seed x
+theta run and emits runs.csv / summary.csv. The ablate command trains all
+three DCRS variants, so it takes no --ablation.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -32,6 +36,7 @@ from dismantler.dismantle import (
     DismantleReport,
     minimal_prefix_tas,
     random_scores,
+    reports_at,
 )
 from dismantler.graph import (
     Graph,
@@ -145,7 +150,10 @@ def read_scores_csv(path, g: Graph) -> np.ndarray:
         if header and header[0] != "node_id":
             raise ValueError(f"{path}: expected a node_id header")
         for row in reader:
-            by_label[row[0]] = float(row[-1])
+            score = float(row[-1])
+            if not np.isfinite(score):
+                raise ValueError(f"{path}: non-finite score {row[-1]!r} for node {row[0]}")
+            by_label[row[0]] = score
     try:
         return np.array([by_label[g.labels[i]] for i in range(g.num_nodes)])
     except KeyError as exc:
@@ -160,9 +168,8 @@ def write_curve_csv(path, curve: np.ndarray) -> None:
             writer.writerow([step, repr(float(value))])
 
 
-def report_payload(g: Graph, method: str, report: DismantleReport,
-                   seed: int | None = None) -> dict:
-    payload = {
+def report_payload(g: Graph, method: str, report: DismantleReport, seed: int) -> dict:
+    return {
         "method": method,
         "theta": report.theta,
         "tas_size": report.tas_size,
@@ -170,14 +177,12 @@ def report_payload(g: Graph, method: str, report: DismantleReport,
         "auc": report.auc,
         "num_nodes": g.num_nodes,
         "num_edges": g.num_edges,
+        "seed": seed,
     }
-    if seed is not None:
-        payload["seed"] = seed
-    return payload
 
 
 def write_report(out_dir: Path, g: Graph, method: str, report: DismantleReport,
-                 seed: int | None = None) -> None:
+                 seed: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(out_dir / "report.json", "w", encoding="utf-8") as fh:
         json.dump(report_payload(g, method, report, seed), fh, indent=2, sort_keys=True)
@@ -212,7 +217,6 @@ def add_dcrs_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--role-k", type=int, default=None, dest="role_k")
     parser.add_argument("--epochs", type=int, default=None)
     parser.add_argument("--lr", type=float, default=None)
-    parser.add_argument("--ablation", choices=ABLATIONS, default=None)
 
 
 def cmd_generate(args) -> int:
@@ -265,34 +269,42 @@ def cmd_dismantle(args) -> int:
                                 ci_radius=args.ci_radius, dcrs_config=config)
         method = args.method
     report = minimal_prefix_tas(g, scores, args.theta)
-    write_report(Path(args.out), g, method, report, seed=args.seed)
+    write_report(Path(args.out), g, method, report, args.seed)
     print(f"theta={args.theta}: removed {report.tas_size}/{g.num_nodes} "
           f"(rho={report.rho:.4f}, auc={report.auc:.2f})")
     return 0
 
 
-def _run_one(input_spec: str, method: str, theta: float, seed: int,
-             out_root: Path, args, dcrs_section: dict,
-             single_theta: bool) -> dict:
-    row = {"network": network_name(input_spec, seed), "method": method,
-           "theta": theta, "seed": seed, "tas_size": "", "rho": "", "auc": "",
-           "status": "ok", "error": ""}
+def _run_one(network: str, g: Graph | Exception, method: str, seed: int,
+             thetas: list[float], out_root: Path, args, dcrs_section: dict) -> list[dict]:
+    """Score one (method, seed) once; one runs.csv row per theta.
+
+    `g` is the seed's graph, shared read-only with the seed's other tasks,
+    or the error raised while building it. Every theta is read off the
+    one collapse trajectory of the method's ranking.
+    """
+    rows = [{"network": network, "method": method, "theta": theta, "seed": seed,
+             "tas_size": "", "rho": "", "auc": "", "status": "ok", "error": ""}
+            for theta in thetas]
     try:
-        g = resolve_input(input_spec, seed)
+        if isinstance(g, Exception):
+            raise g
         config = (dcrs_config_from_args(args, seed, dcrs_section)
                   if method == "dcrs" else None)
         scores = compute_scores(g, method, seed, ci_radius=args.ci_radius,
                                 dcrs_config=config)
-        report = minimal_prefix_tas(g, scores, theta)
-        # one directory per method; theta suffix only when sweeping several
-        leaf = method if single_theta else f"{method}_theta{theta:g}"
-        out_dir = out_root / row["network"] / leaf
-        write_report(out_dir, g, method, report, seed=seed)
-        write_scores_csv(out_dir / "scores.csv", g, scores)
-        row.update(tas_size=report.tas_size, rho=report.rho, auc=report.auc)
+        for row, report in zip(rows, reports_at(g, scores, thetas)):
+            # one directory per method; theta suffix only when sweeping several
+            leaf = method if len(thetas) == 1 else f"{method}_theta{report.theta:g}"
+            out_dir = out_root / network / leaf
+            write_report(out_dir, g, method, report, seed)
+            write_scores_csv(out_dir / "scores.csv", g, scores)
+            row.update(tas_size=report.tas_size, rho=report.rho, auc=report.auc)
     except Exception as exc:  # noqa: BLE001 - keep the batch running
-        row.update(status="error", error=f"{type(exc).__name__}: {exc}")
-    return row
+        for row in rows:
+            if row["rho"] == "":
+                row.update(status="error", error=f"{type(exc).__name__}: {exc}")
+    return rows
 
 
 def cmd_experiment(args) -> int:
@@ -312,19 +324,31 @@ def cmd_experiment(args) -> int:
     if unknown:
         print(f"experiment: unknown methods {unknown}", file=sys.stderr)
         return 2
+    out_of_range = [t for t in thetas if not 0.0 < t < 1.0]
+    if out_of_range:
+        print(f"experiment: thetas {out_of_range} not in (0, 1)", file=sys.stderr)
+        return 2
 
-    tasks = [(input_spec, method, theta, seed)
-             for method in methods for seed in seeds for theta in thetas]
-    single_theta = len(thetas) == 1
+    graphs: dict[int, Graph | Exception] = {}
+    for seed in seeds:
+        try:
+            graphs[seed] = resolve_input(input_spec, seed)
+        except Exception as exc:  # noqa: BLE001 - that seed's rows record it
+            graphs[seed] = exc
+
+    def task(method_seed: tuple[str, int]) -> list[dict]:
+        method, seed = method_seed
+        return _run_one(network_name(input_spec, seed), graphs[seed], method, seed,
+                        thetas, out_root, args, dcrs_section)
+
+    tasks = [(method, seed) for method in methods for seed in seeds]
     out_root.mkdir(parents=True, exist_ok=True)
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(
-                lambda t: _run_one(*t, out_root, args, dcrs_section, single_theta),
-                tasks))
+            task_rows = list(pool.map(task, tasks))
     else:
-        rows = [_run_one(*t, out_root, args, dcrs_section, single_theta)
-                for t in tasks]
+        task_rows = [task(t) for t in tasks]
+    rows = [row for per_task in task_rows for row in per_task]
 
     with open(out_root / "runs.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
@@ -369,12 +393,10 @@ def cmd_ablate(args) -> int:
     out_root.mkdir(parents=True, exist_ok=True)
     rows = []
     for ablation in ABLATIONS:
-        config = dcrs_config_from_args(args, args.seed)
-        config.ablation = ablation
-        config.__post_init__()
+        config = dataclasses.replace(base, ablation=ablation)
         output = run_dcrs(g, config, role_graph=role_graph)
         report = minimal_prefix_tas(g, output.s_dis, args.theta)
-        write_report(out_root / ablation, g, f"dcrs[{ablation}]", report, seed=args.seed)
+        write_report(out_root / ablation, g, f"dcrs[{ablation}]", report, args.seed)
         rows.append({"variant": ablation, "lambda": config.lam,
                      "tas_size": report.tas_size, "rho": report.rho,
                      "auc": report.auc})
@@ -441,6 +463,9 @@ def build_parser() -> argparse.ArgumentParser:
     abl.add_argument("--out", required=True)
     add_dcrs_args(abl)
     abl.set_defaults(func=cmd_ablate)
+    # ablate trains every variant, so only the other commands pick one
+    for single in (rank, dis, exp):
+        single.add_argument("--ablation", choices=ABLATIONS, default=None)
     return parser
 
 

@@ -35,6 +35,8 @@ class DismantleReport:
 def rank_nodes(scores: np.ndarray) -> np.ndarray:
     """Node order by descending score; ties broken by ascending node id."""
     scores = np.asarray(scores, dtype=np.float64)
+    if not np.isfinite(scores).all():
+        raise ValueError(f"scores must be finite; {int((~np.isfinite(scores)).sum())} are not")
     return np.lexsort((np.arange(scores.size), -scores))
 
 
@@ -63,6 +65,31 @@ def gcc_trajectory(g: Graph, ranking: np.ndarray) -> np.ndarray:
     return traj
 
 
+def _ngcc_prefix(traj: np.ndarray, k: int) -> tuple[np.ndarray, float]:
+    """Normalized GCC after each of the first k removals, read off a trajectory, and its sum."""
+    curve = traj[1:k + 1] / (traj.size - 1)
+    return curve, float(curve.sum())
+
+
+def reports_at(g: Graph, scores: np.ndarray,
+               thetas: list[float]) -> list[DismantleReport]:
+    """The attack outcome at each threshold, all read off one trajectory.
+
+    The attack set for theta is the shortest ranking prefix k with
+    traj[k] <= theta * N; every theta > 0 has one, since traj[N] = 0.
+    """
+    n = g.num_nodes
+    ranking = rank_nodes(scores)
+    traj = gcc_trajectory(g, ranking)
+    reports = []
+    for theta in thetas:
+        k = int(np.argmax(traj <= theta * n))
+        curve, auc = _ngcc_prefix(traj, k)
+        reports.append(DismantleReport(ranking=ranking, tas_size=k, rho=k / n,
+                                       theta=theta, ngcc_curve=curve, auc=auc))
+    return reports
+
+
 def minimal_prefix_tas(g: Graph, scores: np.ndarray, theta: float) -> DismantleReport:
     """Smallest ranking prefix whose removal caps the GCC at theta * N.
 
@@ -71,19 +98,9 @@ def minimal_prefix_tas(g: Graph, scores: np.ndarray, theta: float) -> DismantleR
     """
     if not 0.0 < theta < 1.0:
         raise ValueError("theta must be in (0, 1)")
-    n = g.num_nodes
-    if n == 0:
+    if g.num_nodes == 0:
         raise ValueError("cannot dismantle an empty graph")
-    ranking = rank_nodes(scores)
-    traj = gcc_trajectory(g, ranking)
-    bound = theta * n
-    satisfied = traj <= bound
-    if not satisfied.any():
-        raise RuntimeError("threshold unreachable even after removing all nodes")
-    k = int(np.argmax(satisfied))
-    curve = traj[1:k + 1] / n
-    return DismantleReport(ranking=ranking, tas_size=k, rho=k / n, theta=theta,
-                           ngcc_curve=curve, auc=float(curve.sum()))
+    return reports_at(g, scores, [theta])[0]
 
 
 def ngcc_curve_and_auc(g: Graph, ranking: np.ndarray,
@@ -91,11 +108,7 @@ def ngcc_curve_and_auc(g: Graph, ranking: np.ndarray,
     """Normalized GCC after each of the first k removals, and the curve's sum."""
     if k > g.num_nodes:
         raise ValueError("k exceeds node count")
-    if k == 0:
-        return np.zeros(0, dtype=np.float64), 0.0
-    traj = gcc_trajectory(g, ranking)
-    curve = traj[1:k + 1] / g.num_nodes
-    return curve, float(curve.sum())
+    return _ngcc_prefix(gcc_trajectory(g, ranking), k)
 
 
 def threshold_sweep(g: Graph, scores: np.ndarray,
@@ -105,13 +118,7 @@ def threshold_sweep(g: Graph, scores: np.ndarray,
         raise ValueError("thetas must be sorted ascending")
     if thetas and (thetas[0] <= 0.0 or thetas[-1] > 1.0):
         raise ValueError("thetas must lie in (0, 1]")
-    n = g.num_nodes
-    traj = gcc_trajectory(g, rank_nodes(scores))
-    rhos = []
-    for theta in thetas:
-        k = int(np.argmax(traj <= theta * n))
-        rhos.append(k / n)
-    return rhos
+    return [report.rho for report in reports_at(g, scores, thetas)]
 
 
 def random_scores(num_nodes: int, seed: int) -> np.ndarray:

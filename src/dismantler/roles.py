@@ -9,7 +9,6 @@ similarity of R rows.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,22 +253,3 @@ def discover_role_graph(g: Graph, k: int = 10, levels: int = 1,
     role_graph = build_role_graph(model.R, k)
     return model, role_graph
 
-
-def role_model_to_json(model: RoleModel) -> str:
-    payload = {
-        "r": model.r,
-        "R": model.R.ravel().tolist(),
-        "M": model.M.ravel().tolist(),
-        "feature_names": list(model.feature_names),
-    }
-    return json.dumps(payload)
-
-
-def role_model_from_json(text: str) -> RoleModel:
-    payload = json.loads(text)
-    r = int(payload["r"])
-    names = tuple(payload["feature_names"])
-    f = len(names)
-    big_m = np.asarray(payload["M"], dtype=np.float64).reshape(r, f)
-    big_r = np.asarray(payload["R"], dtype=np.float64).reshape(-1, r)
-    return RoleModel(big_r, big_m, r, feature_names=names)

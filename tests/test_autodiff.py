@@ -238,16 +238,3 @@ class TestAdam:
         store.zeros("w", 1, 1)
         with pytest.raises(ValueError):
             store.zeros("w", 2, 2)
-
-
-class TestParamStoreCheckpoint:
-    def test_roundtrip(self, tmp_path):
-        store = ParamStore(seed=1)
-        store.glorot("a", 3, 2)
-        store.zeros("b", 1, 4)
-        path = tmp_path / "ckpt.json"
-        store.save(path)
-        fresh = ParamStore(seed=99)
-        fresh.load(path)
-        assert np.array_equal(fresh["a"].values, store["a"].values)
-        assert np.array_equal(fresh["b"].values, store["b"].values)

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from dismantler import cli, dismantle
 from dismantler.cli import (
     main,
     network_name,
@@ -144,6 +145,19 @@ class TestDismantleCommand:
         loaded = read_scores_csv(scores, g)
         assert np.array_equal(loaded, g.degrees.astype(float))
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_scores_rejected(self, tmp_path, capsys, bad):
+        edges = tmp_path / "g.txt"
+        edges.write_text("a b\nb c\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"node_id,score\na,1.0\nb,{bad}\nc,0.5\n")
+        assert run("dismantle", "--input", edges, "--scores", scores,
+                   "--theta", 0.5, "--out", tmp_path / "o") == 1
+        [error] = json.loads(capsys.readouterr().err.strip())
+        assert error["error"].startswith("ValueError")
+        assert "node b" in error["error"]
+        assert not (tmp_path / "o").exists()
+
     def test_bad_input_fails_with_error_json(self, tmp_path, capsys):
         assert run("dismantle", "--input", tmp_path / "missing.txt",
                    "--method", "dc", "--theta", 0.1,
@@ -207,6 +221,41 @@ class TestExperimentCommand:
         err = capsys.readouterr().err
         assert json.loads(err.strip())
 
+    def test_theta_out_of_range_rejected_before_scoring(self, tmp_path, capsys):
+        out = tmp_path / "res"
+        assert run("experiment", "--input", "ba:n=30,m=2", "--methods", "dc",
+                   "--seeds", "1", "--thetas", "0.1,1.0", "--out", out) == 2
+        assert "(0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_graph_and_scores_shared_across_thetas(self, tmp_path, monkeypatch):
+        calls = {"build": 0, "score": 0, "trajectory": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "resolve_input", counted("build", cli.resolve_input))
+        monkeypatch.setattr(cli, "compute_scores", counted("score", cli.compute_scores))
+        monkeypatch.setattr(dismantle, "gcc_trajectory",
+                            counted("trajectory", dismantle.gcc_trajectory))
+        out = tmp_path / "res"
+        assert run("experiment", "--input", "ba:n=60,m=2", "--methods", "dc,random",
+                   "--seeds", "1,2", "--thetas", "0.05,0.2", "--out", out) == 0
+        # one build per seed, one scoring and one trajectory per (method, seed)
+        assert calls == {"build": 2, "score": 4, "trajectory": 4}
+        runs = read_csv_rows(out / "runs.csv")
+        assert [(r["method"], r["seed"], r["theta"]) for r in runs] == [
+            (m, s, t) for m in ("dc", "random") for s in ("1", "2")
+            for t in ("0.05", "0.2")]
+        for seed in (1, 2):
+            for method in ("dc", "random"):
+                task_dir = out / f"ba_m2_n60_seed{seed}"
+                assert ((task_dir / f"{method}_theta0.05" / "scores.csv").read_bytes()
+                        == (task_dir / f"{method}_theta0.2" / "scores.csv").read_bytes())
+
     def test_jobs_parallel_matches_serial(self, tmp_path):
         serial, parallel = tmp_path / "s", tmp_path / "p"
         args = ["experiment", "--input", "er:n=60,k=4", "--methods", "dc,pr",
@@ -225,6 +274,18 @@ class TestAblateCommand:
         assert [r["variant"] for r in rows] == ["full", "no_rs", "no_dc"]
         assert float(rows[1]["lambda"]) == 1.0
         assert float(rows[2]["lambda"]) == 0.0
+
+    def test_lambda_flag_kept_for_full_variant(self, tmp_path):
+        out = tmp_path / "abl"
+        assert run("ablate", "--input", "ba:n=40,m=3", "--seed", 1,
+                   "--epochs", 5, "--lambda", 0.3, "--theta", 0.1, "--out", out) == 0
+        rows = read_csv_rows(out / "ablation.csv")
+        assert [float(r["lambda"]) for r in rows] == [0.3, 1.0, 0.0]
+
+    def test_ablation_flag_not_accepted(self, tmp_path):
+        with pytest.raises(SystemExit):
+            run("ablate", "--input", "ba:n=40,m=3", "--ablation", "no_dc",
+                "--out", tmp_path / "abl")
 
 
 class TestSeedEnvDefault:

@@ -29,6 +29,11 @@ class TestRanking:
         scores = np.array([1.0, 3.0, 3.0, 0.5])
         assert rank_nodes(scores).tolist() == [1, 2, 0, 3]
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            rank_nodes(np.array([1.0, bad, 0.5]))
+
     def test_random_scores_deterministic(self):
         assert np.array_equal(random_scores(50, 3), random_scores(50, 3))
 

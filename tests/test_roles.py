@@ -11,8 +11,6 @@ from dismantler.roles import (
     minmax_scale,
     nmf,
     recursive_aggregate,
-    role_model_from_json,
-    role_model_to_json,
     role_similarity,
     select_rank_mdl,
 )
@@ -230,15 +228,6 @@ class TestPipelineAndSerialization:
         assert 1 <= model.r <= 8
         assert model.mdl_cost is not None
         assert rg.graph.num_nodes == 60
-
-    def test_role_model_json_roundtrip(self):
-        rng = np.random.default_rng(12)
-        feat = FeatureMatrix(rng.uniform(0, 1, size=(10, 4)), ("a", "b", "c", "d"))
-        model = nmf(feat, r=2, seed=1)
-        back = role_model_from_json(role_model_to_json(model))
-        assert np.allclose(back.R, model.R)
-        assert np.allclose(back.M, model.M)
-        assert back.feature_names == model.feature_names
 
     def test_minmax_scale(self):
         feat = FeatureMatrix(np.array([[0.0, 5.0], [2.0, 5.0], [4.0, 5.0]]), ("a", "b"))
