@@ -320,6 +320,11 @@ def cmd_experiment(args) -> int:
              else [int(s) for s in config.get("seeds", [default_seed()])])
     out_root = Path(args.out or config.get("out", "results"))
     jobs = args.jobs or int(config.get("jobs", 1))
+    empty = [name for name, values in (("methods", methods), ("thetas", thetas),
+                                       ("seeds", seeds)) if not values]
+    if empty:
+        print(f"experiment: empty {', '.join(empty)}", file=sys.stderr)
+        return 2
     unknown = [m for m in methods if m not in METHODS]
     if unknown:
         print(f"experiment: unknown methods {unknown}", file=sys.stderr)

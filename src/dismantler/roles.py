@@ -214,28 +214,48 @@ def role_similarity(big_r: np.ndarray, i: int, j: int) -> float:
 def build_role_graph(big_r: np.ndarray, k: int, chunk: int = 512) -> RoleGraph:
     """Link every node to its k most role-similar nodes (cosine, id tiebreak).
 
-    Proposed edges from all nodes are merged into one undirected simple
-    graph, so an edge exists whenever either endpoint proposed it.
+    Node i proposes the min(k, N-1) nodes j != i that come first when
+    ordered by cosine similarity of R rows, higher first, then by smaller
+    id; an all-zero row has similarity 0 to every node. Proposed edges from
+    all nodes are merged into one undirected simple graph, so an edge
+    exists whenever either endpoint proposed it.
+
+    Cost: O(N^2 r) arithmetic for the similarities, computed `chunk` rows
+    at a time in O(chunk N) memory. Each row's k-th largest similarity is
+    found by selection, not a sort; only rows with more than k candidates
+    at that value pay a scan of their ties.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     big_r = np.asarray(big_r, dtype=np.float64)
+    # a NaN similarity would fall out of the >= selection below
+    if not np.all(np.isfinite(big_r)):
+        raise ValueError("role matrix contains non-finite values")
     n = big_r.shape[0]
     k_eff = min(k, n - 1)
+    if k_eff < 1:
+        return RoleGraph(Graph(n, []), k)
     norms = np.linalg.norm(big_r, axis=1)
     unit = np.divide(big_r, norms[:, None], out=np.zeros_like(big_r),
                      where=norms[:, None] > 0)
-    edges: list[tuple[int, int]] = []
+    edges: list[np.ndarray] = []
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         sims = unit[start:stop] @ unit.T
-        # stable argsort: among equal similarities, smaller ids first
-        order = np.argsort(-sims, axis=1, kind="stable")
-        for local, i in enumerate(range(start, stop)):
-            row = order[local]
-            picks = row[row != i][:k_eff]
-            edges.extend((i, int(j)) for j in picks)
-    return RoleGraph(Graph(n, edges), k)
+        np.fill_diagonal(sims[:, start:stop], -np.inf)
+        kth = np.partition(sims, n - k_eff, axis=1)[:, n - k_eff, None]
+        pick = sims >= kth
+        over = np.flatnonzero(pick.sum(axis=1) > k_eff)
+        if over.size:
+            # too many ties at the k-th value: keep the smallest-id ones
+            rows, row_kth = sims[over], kth[over]
+            above = rows > row_kth
+            ties = rows == row_kth
+            room = k_eff - above.sum(axis=1, keepdims=True)
+            pick[over] = above | (ties & (np.cumsum(ties, axis=1) <= room))
+        src, dst = np.nonzero(pick)
+        edges.append(np.stack([src + start, dst], axis=1))
+    return RoleGraph(Graph(n, np.concatenate(edges)), k)
 
 
 def discover_role_graph(g: Graph, k: int = 10, levels: int = 1,

@@ -228,6 +228,15 @@ class TestExperimentCommand:
         assert "(0, 1)" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key", ["methods", "thetas", "seeds"])
+    def test_empty_list_rejected_before_writing(self, tmp_path, capsys, key):
+        out = tmp_path / "res"
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({"input": "er:n=50,k=4", "out": str(out), key: []}))
+        assert run("experiment", "--config", cfg) == 2
+        assert f"empty {key}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_graph_and_scores_shared_across_thetas(self, tmp_path, monkeypatch):
         calls = {"build": 0, "score": 0, "trajectory": 0}
 

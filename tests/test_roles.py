@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dismantler.graph import Graph, generate_ws
+from dismantler.graph import Graph, generate_ba, generate_ws
 from dismantler.roles import (
     FeatureMatrix,
     build_role_graph,
@@ -15,7 +15,7 @@ from dismantler.roles import (
     select_rank_mdl,
 )
 
-from util import permute_graph, random_graph, star, triangle
+from util import brute_role_graph, permute_graph, random_graph, star, triangle
 
 
 class TestEgonetFeatures:
@@ -217,6 +217,59 @@ class TestRoleGraph:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             build_role_graph(np.ones((4, 2)), k=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        big_r = np.ones((4, 2))
+        big_r[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            build_role_graph(big_r, k=2)
+
+    def test_tiny_inputs(self):
+        assert build_role_graph(np.zeros((0, 2)), k=3).graph.num_nodes == 0
+        one = build_role_graph(np.ones((1, 2)), k=3).graph
+        assert (one.num_nodes, one.num_edges) == (1, 0)
+        two = build_role_graph(np.array([[1.0, 0.0], [0.0, 1.0]]), k=3).graph
+        assert two.edge_list().tolist() == [[0, 1]]
+
+    @staticmethod
+    def assert_same_csr(got: Graph, want: Graph):
+        assert np.array_equal(got.offsets, want.offsets)
+        assert np.array_equal(got.neighbors, want.neighbors)
+
+    def test_matches_sort_oracle_on_tied_inputs(self):
+        rng = np.random.default_rng(14)
+        for _ in range(200):
+            n = int(rng.integers(3, 40))
+            big_r = rng.integers(0, 3, size=(n, int(rng.integers(1, 5)))).astype(float)
+            big_r[rng.integers(0, n, size=2)] = 0.0
+            big_r[rng.integers(0, n, size=3)] = big_r[rng.integers(0, n)]
+            k = int(rng.integers(1, n + 2))
+            chunk = int(rng.integers(2, n))
+            chunk += n % chunk == 0
+            self.assert_same_csr(build_role_graph(big_r, k, chunk).graph,
+                                 brute_role_graph(big_r, k, chunk))
+
+    def test_chunk_size_does_not_change_exact_similarities(self):
+        # The rounding of a dot product depends on which BLAS kernel the
+        # block shape selects, so the graph is chunk-independent only where
+        # every similarity is exact: rows c * (binary with 1 or 4 ones) have
+        # unit rows in {0, 0.5, 1}, whose products sum exactly in any order.
+        rng = np.random.default_rng(15)
+        for _ in range(20):
+            n = int(rng.integers(3, 60))
+            big_r = np.zeros((n, 6))
+            for i in range(n):
+                ones = rng.choice(6, size=rng.choice([0, 1, 4]), replace=False)
+                big_r[i, ones] = rng.integers(1, 4)
+            k = int(rng.integers(1, n + 2))
+            want = brute_role_graph(big_r, k, chunk=512)
+            for chunk in (3, 7):
+                self.assert_same_csr(build_role_graph(big_r, k, chunk).graph, want)
+
+    def test_pipeline_role_graph_matches_oracle(self):
+        model, rg = discover_role_graph(generate_ba(2000, 4, seed=1))
+        self.assert_same_csr(rg.graph, brute_role_graph(model.R, rg.k))
 
 
 class TestPipelineAndSerialization:

@@ -127,3 +127,29 @@ def permute_graph(g: Graph, perm: np.ndarray) -> Graph:
     """Relabel node i as perm[i]."""
     edges = [(int(perm[u]), int(perm[v])) for u, v in g.edge_list()]
     return Graph(g.num_nodes, edges)
+
+
+def brute_role_graph(big_r: np.ndarray, k: int, chunk: int = 512) -> Graph:
+    """Role graph by a full stable sort of each row's similarities.
+
+    Similarities are computed exactly as `build_role_graph` computes them
+    (same unit rows, same chunked product), then each row is argsorted,
+    descending with smaller ids first among equals, and node i proposes the
+    first min(k, N-1) entries other than itself.
+    """
+    big_r = np.asarray(big_r, dtype=np.float64)
+    n = big_r.shape[0]
+    k_eff = min(k, n - 1)
+    norms = np.linalg.norm(big_r, axis=1)
+    unit = np.divide(big_r, norms[:, None], out=np.zeros_like(big_r),
+                     where=norms[:, None] > 0)
+    edges: list[tuple[int, int]] = []
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
+        sims = unit[start:stop] @ unit.T
+        order = np.argsort(-sims, axis=1, kind="stable")
+        for local, i in enumerate(range(start, stop)):
+            row = order[local]
+            picks = row[row != i][:k_eff]
+            edges.extend((i, int(j)) for j in picks)
+    return Graph(n, edges)
