@@ -2,8 +2,11 @@
 
 Tensors hold 2-D float64 arrays. Each op returns a new Tensor carrying the
 backward rule for its inputs; Tensor.backward() replays the recorded graph
-in reverse topological order. This is deliberately small: just the
-primitives needed for graph encoders trained full-batch on one machine.
+in reverse topological order. Rules compute gradients only for inputs that
+require them, and an interior tensor's gradient is released as soon as its
+rule has run, so only the leaves (the parameters) hold a grad afterwards.
+This is deliberately small: just the primitives needed for graph encoders
+trained full-batch on one machine.
 
 Set DEBUG_CHECK_FINITE = True to make every forward op raise on NaN/Inf.
 """
@@ -54,10 +57,14 @@ class Tensor:
         return float(self.values.reshape(()))
 
     def backward(self) -> None:
-        """Populate grads of all reachable requires_grad tensors.
+        """Populate grads of all reachable requires_grad leaves.
 
-        Must be called on a scalar (single-element) tensor. Repeated calls
-        without zeroing accumulate into existing grads.
+        Must be called on a scalar (single-element) tensor. Each interior
+        tensor's grad is set back to None once its backward rule has run,
+        so the pass holds at most the grads still waiting to be propagated,
+        and the leaves (tensors built without a rule, such as parameters)
+        are the only ones left with a grad. Repeated calls without zeroing
+        accumulate into the leaves' grads.
         """
         if self.values.size != 1:
             raise ValueError("backward() requires a scalar loss")
@@ -79,15 +86,24 @@ class Tensor:
         for node in reversed(order):
             if node._backward is not None:
                 node._backward(node.grad)
+                node.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    # grads are never updated in place, so an interior tensor may keep g
+    # itself even when g is shared; a leaf gets its own copy, so no two
+    # parameters hold the same array
     if not t.requires_grad:
         return
-    t.grad = g.copy() if t.grad is None else t.grad + g
+    if t.grad is not None:
+        t.grad = t.grad + g
+    elif t._backward is None:
+        t.grad = g.copy()
+    else:
+        t.grad = g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
@@ -111,8 +127,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out_values = a.values @ b.values
 
     def backward(g):
-        _accumulate(a, g @ b.values.T)
-        _accumulate(b, a.values.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.values.T)
+        if b.requires_grad:
+            _accumulate(b, a.values.T @ g)
 
     return Tensor(out_values, parents=(a, b), backward=backward)
 
@@ -121,8 +139,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out_values = a.values + b.values  # numpy broadcasting rules
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return Tensor(out_values, parents=(a, b), backward=backward)
 
@@ -137,8 +157,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out_values = a.values * b.values
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.values, a.shape))
-        _accumulate(b, _unbroadcast(g * a.values, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.values, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.values, b.shape))
 
     return Tensor(out_values, parents=(a, b), backward=backward)
 

@@ -109,26 +109,37 @@ def gdn_forward(g: Graph, store: ParamStore, num_layers: int,
     over i's out-edges; node i then aggregates the weights of its in-edges
     times the senders' embeddings, followed by an affine map and ReLU.
     Isolated nodes aggregate the empty sum (zero vector).
+
+    On the all-ones input of layer 0 every column of the aggregation is the
+    same sum of in-edge weights, so that layer sums one column and repeats
+    it: each entry is the same sequence of additions as the full-width sum.
     """
     n = g.num_nodes
     src, dst = g.edge_src, g.neighbors
     hidden_dim = store["gdn0.w1"].shape[0]
-    h = ad.constant(np.ones((n, hidden_dim)))
+    h = None
     for layer in range(num_layers):
         w1 = store[f"gdn{layer}.w1"]
         w2 = store[f"gdn{layer}.w2"]
         beta = store[f"gdn{layer}.beta"]
         w3 = store[f"gdn{layer}.w3"]
         b3 = store[f"gdn{layer}.b3"]
-        hi = ad.row_gather(h, src)
-        hj = ad.row_gather(h, dst)
+        if h is None:
+            hi = hj = ad.constant(np.ones((src.size, hidden_dim)))
+        else:
+            hi = ad.row_gather(h, src)
+            hj = ad.row_gather(h, dst)
         logits = ad.matmul(ad.leaky_relu(ad.add(ad.matmul(hi, w1), ad.matmul(hj, w2)),
                                          LEAKY_SLOPE), beta)
         weights = ad.segment_softmax(logits, src, n)
         if weights_out is not None:
             weights_out.append(weights.values.copy())
-        messages = ad.mul(weights, ad.row_gather(h, src))
-        aggregated = ad.segment_sum(messages, dst, n)
+        if h is None:
+            aggregated = ad.mul(ad.segment_sum(weights, dst, n),
+                                ad.constant(np.ones((1, hidden_dim))))
+        else:
+            messages = ad.mul(weights, ad.row_gather(h, src))
+            aggregated = ad.segment_sum(messages, dst, n)
         h = ad.relu(ad.add_bias(ad.matmul(aggregated, w3), b3))
     return h
 
@@ -137,7 +148,9 @@ def gcn_forward(role_graph: RoleGraph, store: ParamStore, num_layers: int) -> Te
     """Symmetric-normalized convolution over the role graph, all-ones input.
 
     Self-loops are added, so a node without role-graph neighbors keeps
-    propagating its own embedding.
+    propagating its own embedding. Layer 0 propagates the all-ones input,
+    whose every column is the same sum of coefficients, so it sums one
+    column and repeats it.
     """
     rg = role_graph.graph
     n = rg.num_nodes
@@ -145,11 +158,17 @@ def gcn_forward(role_graph: RoleGraph, store: ParamStore, num_layers: int) -> Te
     src = np.concatenate([rg.edge_src, loops])
     dst = np.concatenate([rg.neighbors, loops])
     deg_tilde = rg.degrees + 1.0
-    coeff = ad.constant((1.0 / np.sqrt(deg_tilde[src] * deg_tilde[dst])).reshape(-1, 1))
+    coeff = (1.0 / np.sqrt(deg_tilde[src] * deg_tilde[dst])).reshape(-1, 1)
     hidden_dim = store["gcn0.w"].shape[0]
-    z = ad.constant(np.ones((n, hidden_dim)))
+    z = None
     for layer in range(num_layers):
-        propagated = ad.segment_sum(ad.mul(coeff, ad.row_gather(z, src)), dst, n)
+        if z is None:
+            column = np.zeros((n, 1))
+            np.add.at(column, dst, coeff)
+            propagated = ad.constant(np.repeat(column, hidden_dim, axis=1))
+        else:
+            propagated = ad.segment_sum(
+                ad.mul(ad.constant(coeff), ad.row_gather(z, src)), dst, n)
         z = ad.relu(ad.matmul(propagated, store[f"gcn{layer}.w"]))
     return z
 
@@ -194,7 +213,11 @@ def forward(g: Graph, role_graph: RoleGraph, store: ParamStore,
 
 
 def train(g: Graph, role_graph: RoleGraph, config: DcrsConfig) -> DcrsOutput:
-    """Full-batch training loop; deterministic for a fixed config.seed."""
+    """Full-batch training loop.
+
+    Deterministic for a fixed config.seed and BLAS thread count: the thread
+    count changes how BLAS splits its sums, and so the last digits.
+    """
     if role_graph.graph.num_nodes != g.num_nodes:
         raise ValueError("role graph must cover the same node set")
     store = init_params(config)

@@ -133,6 +133,40 @@ class TestBackward:
         reduce_sum(w).backward()
         assert np.array_equal(w.grad, 2 * np.ones((2, 2)))
 
+    def test_repeated_backward_accumulates_once_per_call(self):
+        w = Tensor(np.ones((1, 1)), requires_grad=True)
+        loss = reduce_sum(mul(w, constant([[3.0]])))
+        loss.backward()
+        loss.backward()
+        assert w.grad[0, 0] == 6.0
+
+    def test_interior_grads_released_leaves_kept(self):
+        w = Tensor(np.full((2, 3), 0.5), requires_grad=True)
+        v = Tensor(np.full((2, 3), 2.0), requires_grad=True)
+        prod = mul(w, v)
+        act = sigmoid(prod)
+        loss = reduce_sum(act)
+        loss.backward()
+        assert prod.grad is None and act.grad is None and loss.grad is None
+        assert w.grad is not None and v.grad is not None
+
+    def test_leaf_grads_are_not_shared(self):
+        w = Tensor(np.zeros((2, 2)), requires_grad=True)
+        v = Tensor(np.zeros((2, 2)), requires_grad=True)
+        reduce_sum(add(w, v)).backward()
+        assert w.grad is not v.grad
+        assert np.array_equal(w.grad, np.ones((2, 2)))
+        assert np.array_equal(v.grad, np.ones((2, 2)))
+
+    def test_constant_operand_gets_no_grad(self):
+        rng = np.random.default_rng(9)
+        w = Tensor(rng.normal(size=(3, 3)), requires_grad=True)
+        for op in (matmul, add, mul):
+            c = constant(rng.normal(size=(3, 3)))
+            reduce_sum(op(c, w)).backward()
+            reduce_sum(op(w, c)).backward()
+            assert c.grad is None
+
     def test_shared_subexpression(self):
         w = Tensor(np.full((1, 1), 3.0), requires_grad=True)
         y = mul(w, w)  # w^2, dw = 2w

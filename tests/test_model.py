@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from dismantler import autodiff as ad
-from dismantler.graph import Graph, generate_ba
+from dismantler import model
+from dismantler.graph import Graph, generate_ba, generate_er
 from dismantler.model import (
     DcrsConfig,
     dismantling_loss,
@@ -16,7 +17,14 @@ from dismantler.model import (
 )
 from dismantler.roles import RoleGraph, build_role_graph, discover_role_graph
 
-from util import path_graph, random_graph, star, triangle
+from util import (
+    full_width_gcn_forward,
+    full_width_gdn_forward,
+    path_graph,
+    random_graph,
+    star,
+    triangle,
+)
 
 
 def zero_attention(store, layers):
@@ -249,6 +257,72 @@ class TestFullModelGradients:
                 denom = max(abs(numeric), abs(gflat[idx]), 1e-5)
                 worst = max(worst, abs(numeric - gflat[idx]) / denom)
         assert worst < 1e-4
+
+
+def _one_pass(g, rg, store, cfg, gdn, gcn):
+    """Forward values and parameter grads of one loss.backward()."""
+    store.zero_grad()
+    weights = []
+    h = gdn(g, store, cfg.gdn_layers, weights_out=weights)
+    z = gcn(rg, store, cfg.gcn_layers)
+    s_dc, s_rs, s_dis = score_and_fuse(h, z, store, cfg.lam)
+    loss = dismantling_loss(g, s_dis, cfg.gamma)
+    loss.backward()
+    values = [h.values, z.values, s_dc.values, s_rs.values, s_dis.values,
+              loss.values, *weights]
+    return values, {name: t.grad for name, t in store.items()}
+
+
+def _folding_cases():
+    rng = np.random.default_rng(12)
+    for _ in range(12):
+        n = int(rng.integers(2, 40))
+        g = random_graph(rng, n, float(rng.uniform(0.05, 0.5)))
+        rg = RoleGraph(random_graph(rng, n, float(rng.uniform(0.0, 0.3))), k=3)
+        yield g, rg, int(rng.integers(1, 7)), int(rng.integers(1, 4))
+    # isolated nodes in the graph, a lonely node in the role graph
+    lonely = RoleGraph(Graph(6, [(0, 1), (2, 3), (3, 4)]), k=1)
+    yield Graph(6, [(0, 1), (1, 2), (0, 2)]), lonely, 4, 2
+    yield Graph(4, []), RoleGraph(Graph(4, []), k=1), 3, 2
+
+
+class TestFoldedFirstLayers:
+    """Layer 0 of both encoders sums one column of the all-ones input; the
+    full-width reference in tests/util.py must agree bit for bit."""
+
+    def test_values_and_grads_match_full_width(self):
+        rng = np.random.default_rng(13)
+        for g, rg, d, layers in _folding_cases():
+            cfg = DcrsConfig(hidden_dim=d, gdn_layers=layers, gcn_layers=layers,
+                             epochs=1, lam=float(rng.uniform(0.1, 0.9)), gamma=0.3,
+                             seed=int(rng.integers(100)))
+            store = init_params(cfg)
+            # non-zero heads so gradients reach every encoder parameter
+            store["score_dc.w"].values[:] = rng.normal(scale=0.5, size=(d, 1))
+            store["score_rs.w"].values[:] = rng.normal(scale=0.5, size=(d, 1))
+            lean, lean_grads = _one_pass(g, rg, store, cfg, gdn_forward, gcn_forward)
+            ref, ref_grads = _one_pass(g, rg, store, cfg, full_width_gdn_forward,
+                                       full_width_gcn_forward)
+            assert len(lean) == len(ref)
+            for a, b in zip(lean, ref):
+                assert np.array_equal(a, b)
+            for name in store.names():
+                assert lean_grads[name] is not None
+                assert np.array_equal(lean_grads[name], ref_grads[name]), name
+
+    @pytest.mark.parametrize("ablation", ["full", "no_rs", "no_dc"])
+    def test_training_matches_full_width(self, monkeypatch, ablation):
+        base = generate_er(150, 5, seed=4)
+        g = Graph(base.num_nodes + 2, base.edge_list())  # two isolated nodes
+        _, rg = discover_role_graph(g, k=5, seed=4)
+        cfg = DcrsConfig(epochs=10, seed=6, ablation=ablation)
+        lean = train(g, rg, cfg)
+        monkeypatch.setattr(model, "gdn_forward", full_width_gdn_forward)
+        monkeypatch.setattr(model, "gcn_forward", full_width_gcn_forward)
+        ref = train(g, rg, cfg)
+        for field in ("s_dc", "s_rs", "s_dis", "H", "Z"):
+            assert np.array_equal(getattr(lean, field), getattr(ref, field)), field
+        assert lean.loss_history == ref.loss_history
 
 
 class TestTraining:

@@ -1,15 +1,18 @@
 """Shared test helpers: tiny graph builders and independent brute-force oracles.
 
-The oracles here deliberately avoid the package's traversal code: they are
-plain dict-of-sets adjacency plus deque BFS, so they can catch bugs in the
-compressed-adjacency implementations.
+The graph oracles here deliberately avoid the package's traversal code: they
+are plain dict-of-sets adjacency plus deque BFS, so they can catch bugs in the
+compressed-adjacency implementations. The full-width encoders are the model's
+unfolded reference, which the folded first layers must match bit for bit.
 """
 
 from collections import deque
 
 import numpy as np
 
+from dismantler import autodiff as ad
 from dismantler.graph import Graph
+from dismantler.model import LEAKY_SLOPE
 
 
 def triangle() -> Graph:
@@ -153,3 +156,51 @@ def brute_role_graph(big_r: np.ndarray, k: int, chunk: int = 512) -> Graph:
             picks = row[row != i][:k_eff]
             edges.extend((i, int(j)) for j in picks)
     return Graph(n, edges)
+
+
+def full_width_gdn_forward(g: Graph, store, num_layers: int,
+                           weights_out: list[np.ndarray] | None = None):
+    """`model.gdn_forward` with layer 0 run on the full (E, d) all-ones block.
+
+    Every layer gathers both endpoint embeddings and sums weighted messages
+    of width d, as the model did before layer 0 was folded to one column.
+    """
+    n = g.num_nodes
+    src, dst = g.edge_src, g.neighbors
+    hidden_dim = store["gdn0.w1"].shape[0]
+    h = ad.constant(np.ones((n, hidden_dim)))
+    for layer in range(num_layers):
+        w1 = store[f"gdn{layer}.w1"]
+        w2 = store[f"gdn{layer}.w2"]
+        beta = store[f"gdn{layer}.beta"]
+        w3 = store[f"gdn{layer}.w3"]
+        b3 = store[f"gdn{layer}.b3"]
+        hi = ad.row_gather(h, src)
+        hj = ad.row_gather(h, dst)
+        logits = ad.matmul(ad.leaky_relu(ad.add(ad.matmul(hi, w1), ad.matmul(hj, w2)),
+                                         LEAKY_SLOPE), beta)
+        weights = ad.segment_softmax(logits, src, n)
+        if weights_out is not None:
+            weights_out.append(weights.values.copy())
+        messages = ad.mul(weights, ad.row_gather(h, src))
+        aggregated = ad.segment_sum(messages, dst, n)
+        h = ad.relu(ad.add_bias(ad.matmul(aggregated, w3), b3))
+    return h
+
+
+def full_width_gcn_forward(role_graph, store, num_layers: int):
+    """`model.gcn_forward` with every layer, layer 0 included, propagating
+    the full (E, d) block of coefficient-weighted messages."""
+    rg = role_graph.graph
+    n = rg.num_nodes
+    loops = np.arange(n, dtype=np.int64)
+    src = np.concatenate([rg.edge_src, loops])
+    dst = np.concatenate([rg.neighbors, loops])
+    deg_tilde = rg.degrees + 1.0
+    coeff = ad.constant((1.0 / np.sqrt(deg_tilde[src] * deg_tilde[dst])).reshape(-1, 1))
+    hidden_dim = store["gcn0.w"].shape[0]
+    z = ad.constant(np.ones((n, hidden_dim)))
+    for layer in range(num_layers):
+        propagated = ad.segment_sum(ad.mul(coeff, ad.row_gather(z, src)), dst, n)
+        z = ad.relu(ad.matmul(propagated, store[f"gcn{layer}.w"]))
+    return z
