@@ -1,6 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
+from dismantler import centrality
 from dismantler.centrality import (
     betweenness,
     closeness,
@@ -11,7 +14,8 @@ from dismantler.centrality import (
     harmonic,
     pagerank,
 )
-from dismantler.graph import Graph
+from dismantler.dismantle import rank_nodes
+from dismantler.graph import Graph, generate_ba, generate_er
 
 from util import (
     adjacency_matrix,
@@ -20,6 +24,10 @@ from util import (
     brute_betweenness,
     complete,
     cycle,
+    loop_betweenness,
+    loop_closeness,
+    loop_collective_influence,
+    loop_harmonic,
     path_graph,
     permute_graph,
     random_graph,
@@ -207,3 +215,130 @@ def test_permutation_equivariance_all_centralities():
             base = fn(g)
             permuted = fn(gp)
             assert np.allclose(permuted[perm], base, atol=1e-8)
+
+
+TRAVERSALS = [
+    (betweenness, loop_betweenness),
+    (closeness, loop_closeness),
+    (harmonic, loop_harmonic),
+    (collective_influence, loop_collective_influence),
+]
+
+
+def assert_matches_loops(g):
+    """The block traversal against the per-source loops it replaced."""
+    assert np.allclose(betweenness(g), loop_betweenness(g), atol=1e-9)
+    assert np.array_equal(closeness(g), loop_closeness(g))
+    assert np.allclose(harmonic(g), loop_harmonic(g), atol=1e-12)
+    for ell in (1, 2, 3):
+        assert np.array_equal(collective_influence(g, ell=ell),
+                              loop_collective_influence(g, ell=ell))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_er(300, 6, seed=1),
+    lambda: generate_er(300, 4, seed=2),
+    lambda: generate_ba(300, 3, seed=1),
+    lambda: generate_ba(300, 2, seed=2),
+], ids=["er6-s1", "er4-s2", "ba3-s1", "ba2-s2"])
+def test_block_traversal_matches_loops_at_n300(make):
+    g = make()
+    bc, ref = betweenness(g), loop_betweenness(g)
+    assert np.allclose(bc, ref, atol=1e-9)
+    assert np.array_equal(rank_nodes(bc), rank_nodes(ref))
+    assert np.array_equal(closeness(g), loop_closeness(g))
+    assert np.array_equal(collective_influence(g, ell=2), loop_collective_influence(g, ell=2))
+    assert np.allclose(harmonic(g), loop_harmonic(g), atol=1e-12)
+
+
+def test_block_traversal_matches_loops_on_random_graphs():
+    rng = np.random.default_rng(7)
+    for _ in range(30):
+        n = int(rng.integers(2, 40))
+        assert_matches_loops(random_graph(rng, n, float(rng.uniform(0.02, 0.4))))
+
+
+@pytest.mark.parametrize("fn,loop", TRAVERSALS)
+def test_graphs_without_edges_score_zero(fn, loop):
+    for g in (Graph(0, []), Graph(1, []), Graph(7, [])):
+        got = fn(g)
+        assert got.shape == (g.num_nodes,) and got.dtype == np.float64
+        assert np.array_equal(got, np.zeros(g.num_nodes))
+        assert np.array_equal(got, loop(g))
+
+
+def test_isolated_nodes_and_components():
+    # a path, a triangle, a star and two isolated nodes in one graph
+    edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 4),
+             (7, 8), (7, 9), (7, 10), (7, 11)]
+    g = Graph(14, edges)
+    assert_matches_loops(g)
+    assert betweenness(g).tolist() == [0, 2, 2, 0, 0, 0, 0, 6, 0, 0, 0, 0, 0, 0]
+    cc = closeness(g)
+    assert cc[12] == cc[13] == 0.0
+    assert cc[4] == cc[5] == cc[6] == 1.0
+    assert harmonic(g)[12] == 0.0 and harmonic(g)[7] == 4.0
+    assert collective_influence(g, ell=1)[7] == 0.0  # leaves carry k - 1 = 0
+
+
+@pytest.mark.parametrize("block", [1, 2, 4, 5, 7, 22])
+def test_ragged_source_blocks(monkeypatch, block):
+    """Entry bounds that split 23 sources into blocks that do not divide N."""
+    rng = np.random.default_rng(11)
+    g = random_graph(rng, 23, 0.15)
+    monkeypatch.setattr(centrality, "_BLOCK_ENTRIES", block * 2 * g.num_edges)
+    assert centrality._block_size(g, g.num_nodes) == block
+    assert_matches_loops(g)
+
+
+def exact_harmonic(g):
+    """Harmonic centrality as exact fractions."""
+    n = g.num_nodes
+    adj = adjacency_sets(g)
+    return [sum((Fraction(1, d) for d in bfs_distances(adj, i, n) if d > 0), Fraction(0))
+            for i in range(n)]
+
+
+def test_harmonic_ties_are_exact_on_a_cycle():
+    hc = harmonic(cycle(101))
+    assert np.all(hc == hc[0])
+    assert hc[0] == pytest.approx(2.0 * sum(1.0 / d for d in range(1, 51)), abs=1e-12)
+
+
+def test_harmonic_is_the_correctly_rounded_exact_sum():
+    rng = np.random.default_rng(17)
+    graphs = [random_graph(rng, int(rng.integers(2, 60)), float(rng.uniform(0.03, 0.3)))
+              for _ in range(20)]
+    graphs += [generate_er(300, 6, seed=804), generate_ba(300, 2, seed=5)]
+    for g in graphs:
+        exact = exact_harmonic(g)
+        hc = harmonic(g)
+        assert hc.tolist() == [float(x) for x in exact]
+        order = sorted(range(g.num_nodes), key=lambda i: (-exact[i], i))
+        assert rank_nodes(hc).tolist() == order
+
+
+def test_harmonic_long_paths_keep_profile_ties():
+    # distances up to 119 run past the exact levels; mirror nodes still tie
+    hc = harmonic(path_graph(120))
+    assert np.array_equal(hc, hc[::-1])
+    assert np.allclose(hc, loop_harmonic(path_graph(120)), atol=1e-12)
+
+
+def test_networkx_oracle():
+    nx = pytest.importorskip("networkx")
+    rng = np.random.default_rng(13)
+    graphs = [random_graph(rng, int(rng.integers(2, 35)), float(rng.uniform(0.03, 0.3)))
+              for _ in range(12)]
+    graphs += [generate_ba(200, 2, seed=3), Graph(5, [(0, 1), (2, 3)])]
+    for g in graphs:
+        h = nx.Graph()
+        h.add_nodes_from(range(g.num_nodes))
+        h.add_edges_from(g.edge_list().tolist())
+        ref_bc = nx.betweenness_centrality(h, normalized=False)
+        ref_cc = nx.closeness_centrality(h, wf_improved=False)
+        ref_hc = nx.harmonic_centrality(h)
+        order = range(g.num_nodes)
+        assert np.allclose(betweenness(g), [ref_bc[i] for i in order], atol=1e-9)
+        assert np.allclose(closeness(g), [ref_cc[i] for i in order], atol=1e-12)
+        assert np.allclose(harmonic(g), [ref_hc[i] for i in order], atol=1e-12)

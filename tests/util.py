@@ -4,6 +4,8 @@ The graph oracles here deliberately avoid the package's traversal code: they
 are plain dict-of-sets adjacency plus deque BFS, so they can catch bugs in the
 compressed-adjacency implementations. The full-width encoders are the model's
 unfolded reference, which the folded first layers must match bit for bit.
+The per-source loop centralities are the reference that the block-of-sources
+traversal in `dismantler.centrality` must match.
 """
 
 from collections import deque
@@ -102,6 +104,110 @@ def brute_betweenness(g: Graph) -> np.ndarray:
                 if dist_s[v] >= 0 and dist_t[v] >= 0 and dist_s[v] + dist_t[v] == dist_s[t]:
                     bc[v] += sigma_s[v] * sigma_t[v] / sigma_s[t]
     return bc
+
+
+def _loop_neighbors(g: Graph, nodes: np.ndarray) -> np.ndarray:
+    """Concatenated neighbor lists of `nodes` (vectorized slice gather)."""
+    counts = g.offsets[nodes + 1] - g.offsets[nodes]
+    total = int(counts.sum())
+    if total == 0:
+        return np.empty(0, dtype=np.int64)
+    starts = g.offsets[nodes]
+    shift = np.repeat(starts - np.concatenate(([0], np.cumsum(counts[:-1]))), counts)
+    return g.neighbors[np.arange(total, dtype=np.int64) + shift]
+
+
+def _loop_bfs_levels(g: Graph, source: int) -> np.ndarray:
+    """Hop distances from source; -1 for unreachable nodes."""
+    dist = np.full(g.num_nodes, -1, dtype=np.int64)
+    dist[source] = 0
+    frontier = np.array([source], dtype=np.int64)
+    d = 0
+    while frontier.size:
+        nxt = _loop_neighbors(g, frontier)
+        nxt = np.unique(nxt[dist[nxt] < 0])
+        d += 1
+        dist[nxt] = d
+        frontier = nxt
+    return dist
+
+
+def loop_betweenness(g: Graph) -> np.ndarray:
+    """Per-source Brandes with a deque, unnormalized, each pair once."""
+    n = g.num_nodes
+    bc = np.zeros(n, dtype=np.float64)
+    for s in range(n):
+        dist = np.full(n, -1, dtype=np.int64)
+        sigma = np.zeros(n, dtype=np.float64)
+        preds: list[list[int]] = [[] for _ in range(n)]
+        dist[s] = 0
+        sigma[s] = 1.0
+        order: list[int] = []
+        queue = deque([s])
+        while queue:
+            v = queue.popleft()
+            order.append(v)
+            for w in g.neighbors_of(v):
+                w = int(w)
+                if dist[w] < 0:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+                if dist[w] == dist[v] + 1:
+                    sigma[w] += sigma[v]
+                    preds[w].append(v)
+        delta = np.zeros(n, dtype=np.float64)
+        for w in reversed(order):
+            for v in preds[w]:
+                delta[v] += sigma[v] / sigma[w] * (1.0 + delta[w])
+            if w != s:
+                bc[w] += delta[w]
+    return bc / 2.0
+
+
+def loop_closeness(g: Graph) -> np.ndarray:
+    """Per-source BFS closeness: (|C|-1) / sum of distances inside C."""
+    n = g.num_nodes
+    scores = np.zeros(n, dtype=np.float64)
+    for i in range(n):
+        dist = _loop_bfs_levels(g, i)
+        reached = dist > 0
+        total = dist[reached].sum()
+        if total > 0:
+            scores[i] = reached.sum() / float(total)
+    return scores
+
+
+def loop_harmonic(g: Graph) -> np.ndarray:
+    """Per-source BFS harmonic centrality, reciprocals summed by numpy."""
+    n = g.num_nodes
+    scores = np.zeros(n, dtype=np.float64)
+    for i in range(n):
+        dist = _loop_bfs_levels(g, i)
+        reached = dist > 0
+        scores[i] = (1.0 / dist[reached]).sum()
+    return scores
+
+
+def loop_collective_influence(g: Graph, ell: int = 2) -> np.ndarray:
+    """Per-source truncated BFS: (k_i - 1) * sum of (k_j - 1) at distance ell."""
+    n = g.num_nodes
+    km1 = g.degrees.astype(np.float64) - 1.0
+    scores = np.zeros(n, dtype=np.float64)
+    for i in range(n):
+        if km1[i] <= 0:
+            continue
+        dist = np.full(n, -1, dtype=np.int64)
+        dist[i] = 0
+        frontier = np.array([i], dtype=np.int64)
+        for _ in range(ell):
+            if frontier.size == 0:
+                break
+            nxt = _loop_neighbors(g, frontier)
+            nxt = np.unique(nxt[dist[nxt] < 0])
+            dist[nxt] = 1
+            frontier = nxt
+        scores[i] = km1[i] * km1[frontier].sum() if frontier.size else 0.0
+    return scores
 
 
 def brute_gcc_size(g: Graph) -> int:
