@@ -7,8 +7,6 @@ require them, and an interior tensor's gradient is released as soon as its
 rule has run, so only the leaves (the parameters) hold a grad afterwards.
 This is deliberately small: just the primitives needed for graph encoders
 trained full-batch on one machine.
-
-Set DEBUG_CHECK_FINITE = True to make every forward op raise on NaN/Inf.
 """
 
 from __future__ import annotations
@@ -16,8 +14,6 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
-
-DEBUG_CHECK_FINITE = False
 
 
 def _as2d(values) -> np.ndarray:
@@ -40,8 +36,6 @@ class Tensor:
                  parents: Sequence["Tensor"] = (),
                  backward: Callable[[np.ndarray], None] | None = None):
         self.values = _as2d(values)
-        if DEBUG_CHECK_FINITE and not np.all(np.isfinite(self.values)):
-            raise FloatingPointError("non-finite tensor values")
         self.grad: np.ndarray | None = None
         self.requires_grad = bool(requires_grad) or any(p.requires_grad for p in parents)
         self._parents = tuple(parents)
@@ -186,18 +180,6 @@ def sigmoid(x: Tensor) -> Tensor:
                   backward=lambda g: _accumulate(x, g * y * (1.0 - y)))
 
 
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.values)
-    return Tensor(y, parents=(x,), backward=lambda g: _accumulate(x, g * y))
-
-
-def log(x: Tensor) -> Tensor:
-    if np.any(x.values <= 0):
-        raise ValueError("log requires strictly positive inputs")
-    return Tensor(np.log(x.values), parents=(x,),
-                  backward=lambda g: _accumulate(x, g / x.values))
-
-
 def reciprocal_1p(x: Tensor) -> Tensor:
     """Elementwise x -> 1 / (1 + x)."""
     y = 1.0 / (1.0 + x.values)
@@ -318,9 +300,6 @@ class ParamStore:
 
     def __getitem__(self, name: str) -> Tensor:
         return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
 
     def items(self):
         return self._params.items()

@@ -57,18 +57,39 @@ def default_seed() -> int:
     return int(os.environ.get("DISMANTLER_SEED", "0"))
 
 
+# each generator's parameters; n and m are counts and must be integers
+_GENERATOR_PARAMS = {"er": ("n", "k"), "ba": ("n", "m"), "ws": ("n", "m", "p"),
+                     "plc": ("n", "m", "p")}
+
+
 def parse_generator_spec(spec: str) -> dict:
-    """Parse "ba:n=1000,m=4" style generator specs."""
+    """Parse "ba:n=1000,m=4" style generator specs.
+
+    Every parameter of the generator must be given, no other, and the
+    counts n and m must be integers; anything else raises ValueError.
+    """
     kind, _, rest = spec.partition(":")
     kind = kind.strip().lower()
-    if kind not in ("er", "ba", "ws", "plc"):
+    if kind not in _GENERATOR_PARAMS:
         raise ValueError(f"unknown generator '{kind}' in spec '{spec}'")
+    names = _GENERATOR_PARAMS[kind]
     params: dict[str, float] = {}
     for item in filter(None, (p.strip() for p in rest.split(","))):
         key, _, value = item.partition("=")
+        key = key.strip()
         if not value:
             raise ValueError(f"malformed generator parameter '{item}'")
-        params[key.strip()] = float(value)
+        if key not in names:
+            raise ValueError(f"unknown parameter '{key}' for generator '{kind}' in spec '{spec}'")
+        number = float(value)
+        if key in ("n", "m"):
+            if not number.is_integer():
+                raise ValueError(f"'{key}' must be an integer in spec '{spec}'")
+            number = int(number)
+        params[key] = number
+    missing = [name for name in names if name not in params]
+    if missing:
+        raise ValueError(f"generator '{kind}' needs {', '.join(missing)} in spec '{spec}'")
     return {"kind": kind, **params}
 
 
@@ -76,12 +97,12 @@ def generate_from_spec(spec: str, seed: int) -> Graph:
     params = parse_generator_spec(spec)
     kind = params.pop("kind")
     if kind == "er":
-        return generate_er(int(params["n"]), float(params["k"]), seed)
+        return generate_er(params["n"], params["k"], seed)
     if kind == "ba":
-        return generate_ba(int(params["n"]), int(params["m"]), seed)
+        return generate_ba(params["n"], params["m"], seed)
     if kind == "ws":
-        return generate_ws(int(params["n"]), int(params["m"]), float(params["p"]), seed)
-    return generate_plc(int(params["n"]), int(params["m"]), float(params["p"]), seed)
+        return generate_ws(params["n"], params["m"], params["p"], seed)
+    return generate_plc(params["n"], params["m"], params["p"], seed)
 
 
 def resolve_input(input_spec: str, seed: int) -> Graph:

@@ -65,18 +65,14 @@ def gcc_trajectory(g: Graph, ranking: np.ndarray) -> np.ndarray:
     return traj
 
 
-def _ngcc_prefix(traj: np.ndarray, k: int) -> tuple[np.ndarray, float]:
-    """Normalized GCC after each of the first k removals, read off a trajectory, and its sum."""
-    curve = traj[1:k + 1] / (traj.size - 1)
-    return curve, float(curve.sum())
-
-
 def reports_at(g: Graph, scores: np.ndarray,
                thetas: list[float]) -> list[DismantleReport]:
     """The attack outcome at each threshold, all read off one trajectory.
 
     The attack set for theta is the shortest ranking prefix k with
-    traj[k] <= theta * N; every theta > 0 has one, since traj[N] = 0.
+    traj[k] <= theta * N; every theta > 0 has one, since traj[N] = 0. Its
+    curve is the normalized GCC after each of the k removals, and its area
+    the curve's sum.
     """
     n = g.num_nodes
     ranking = rank_nodes(scores)
@@ -84,9 +80,9 @@ def reports_at(g: Graph, scores: np.ndarray,
     reports = []
     for theta in thetas:
         k = int(np.argmax(traj <= theta * n))
-        curve, auc = _ngcc_prefix(traj, k)
-        reports.append(DismantleReport(ranking=ranking, tas_size=k, rho=k / n,
-                                       theta=theta, ngcc_curve=curve, auc=auc))
+        curve = traj[1:k + 1] / n
+        reports.append(DismantleReport(ranking=ranking, tas_size=k, rho=k / n, theta=theta,
+                                       ngcc_curve=curve, auc=float(curve.sum())))
     return reports
 
 
@@ -101,24 +97,6 @@ def minimal_prefix_tas(g: Graph, scores: np.ndarray, theta: float) -> DismantleR
     if g.num_nodes == 0:
         raise ValueError("cannot dismantle an empty graph")
     return reports_at(g, scores, [theta])[0]
-
-
-def ngcc_curve_and_auc(g: Graph, ranking: np.ndarray,
-                       k: int) -> tuple[np.ndarray, float]:
-    """Normalized GCC after each of the first k removals, and the curve's sum."""
-    if k > g.num_nodes:
-        raise ValueError("k exceeds node count")
-    return _ngcc_prefix(gcc_trajectory(g, ranking), k)
-
-
-def threshold_sweep(g: Graph, scores: np.ndarray,
-                    thetas: list[float]) -> list[float]:
-    """rho for each threshold; thetas must be sorted ascending, in (0, 1]."""
-    if list(thetas) != sorted(thetas):
-        raise ValueError("thetas must be sorted ascending")
-    if thetas and (thetas[0] <= 0.0 or thetas[-1] > 1.0):
-        raise ValueError("thetas must lie in (0, 1]")
-    return [report.rho for report in reports_at(g, scores, thetas)]
 
 
 def random_scores(num_nodes: int, seed: int) -> np.ndarray:

@@ -8,7 +8,7 @@ Node ids are dense integers 0..N-1; original labels are kept for reports.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -83,32 +83,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(num_nodes={self.num_nodes}, num_edges={self.num_edges})"
-
-
-def validate_graph(g: Graph) -> None:
-    """Check the structural invariants; raises ValueError on violation."""
-    if len(g.offsets) != g.num_nodes + 1 or g.offsets[0] != 0:
-        raise ValueError("bad offsets")
-    if int(g.offsets[-1]) != len(g.neighbors):
-        raise ValueError("offsets do not cover neighbor array")
-    if len(g.neighbors) != 2 * g.num_edges:
-        raise ValueError("neighbor list length != 2 * num_edges")
-    if g.num_nodes and len(g.neighbors):
-        if g.neighbors.min() < 0 or g.neighbors.max() >= g.num_nodes:
-            raise ValueError("neighbor id out of range")
-    seen = set()
-    for i in range(g.num_nodes):
-        nb = g.neighbors_of(i)
-        if np.any(nb == i):
-            raise ValueError(f"self-loop at node {i}")
-        if len(nb) > 1 and np.any(np.diff(nb) <= 0):
-            raise ValueError(f"neighbors of {i} not sorted/unique")
-        for j in nb:
-            seen.add((min(i, int(j)), max(i, int(j))))
-            if i not in g.neighbors_of(int(j)):
-                raise ValueError(f"asymmetric edge ({i}, {j})")
-    if len(seen) != g.num_edges:
-        raise ValueError("edge count mismatch")
 
 
 class UnionFind:
@@ -314,18 +288,6 @@ def generate_ws(n: int, m: int, p: float, seed: int) -> Graph:
             adj[w].add(i)
     edges = [(i, j) for i in range(n) for j in adj[i] if i < j]
     return Graph(n, edges)
-
-
-def remove_nodes(g: Graph, victims: Iterable[int]) -> Graph:
-    """Induced subgraph on the surviving nodes; original labels carried over."""
-    victim_set = set(int(v) for v in victims)
-    if victim_set and (min(victim_set) < 0 or max(victim_set) >= g.num_nodes):
-        raise ValueError("victim id out of range")
-    keep = [i for i in range(g.num_nodes) if i not in victim_set]
-    new_id = {old: new for new, old in enumerate(keep)}
-    edges = [(new_id[u], new_id[v]) for u, v in g.edge_list()
-             if u in new_id and v in new_id]
-    return Graph(len(keep), edges, labels=[g.labels[i] for i in keep])
 
 
 def gcc_size(g: Graph) -> int:

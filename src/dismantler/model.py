@@ -79,7 +79,10 @@ class DcrsOutput:
 def init_params(config: DcrsConfig) -> ParamStore:
     d = config.hidden_dim
     store = ParamStore(seed=config.seed)
-    for layer in range(config.gdn_layers):
+    # diffusion layer 0 is attention-free: see gdn_forward
+    store.glorot("gdn0.w3", d, d)
+    store.zeros("gdn0.b3", 1, d)
+    for layer in range(1, config.gdn_layers):
         store.glorot(f"gdn{layer}.w1", d, d)
         store.glorot(f"gdn{layer}.w2", d, d)
         store.glorot(f"gdn{layer}.beta", d, 1)
@@ -100,6 +103,18 @@ def init_params(config: DcrsConfig) -> ParamStore:
     return store
 
 
+def _all_ones_propagation(weights: np.ndarray, dst: np.ndarray, n: int,
+                          width: int) -> Tensor:
+    """Edge weights summed into their destinations, repeated to `width` columns.
+
+    This is one propagation step of an all-ones input: every column is the
+    same weighted sum, so it is summed once and repeated.
+    """
+    column = np.zeros((n, 1))
+    np.add.at(column, dst, weights)
+    return ad.constant(np.repeat(column, width, axis=1))
+
+
 def gdn_forward(g: Graph, store: ParamStore, num_layers: int,
                 weights_out: list[np.ndarray] | None = None) -> Tensor:
     """Diffusion encoding of the original graph.
@@ -108,38 +123,37 @@ def gdn_forward(g: Graph, store: ParamStore, num_layers: int,
     gets a logit beta . LeakyReLU(h_i W1 + h_j W2), normalized by softmax
     over i's out-edges; node i then aggregates the weights of its in-edges
     times the senders' embeddings, followed by an affine map and ReLU.
-    Isolated nodes aggregate the empty sum (zero vector).
+    Isolated nodes aggregate the empty sum (zero vector). `weights_out`
+    receives each layer's (E, 1) edge weights.
 
-    On the all-ones input of layer 0 every column of the aggregation is the
-    same sum of in-edge weights, so that layer sums one column and repeats
-    it: each entry is the same sequence of additions as the full-width sum.
+    On the all-ones input of layer 0 every logit of a node's out-edges is
+    the same, so the softmax is exactly 1/deg(i) and layer 0 is the closed
+    form agg_i = sum over j in N(i) of 1/deg(j), in every column, followed
+    by the affine map and ReLU. Attention (W1, W2, beta) starts at layer 1.
     """
     n = g.num_nodes
     src, dst = g.edge_src, g.neighbors
-    hidden_dim = store["gdn0.w1"].shape[0]
-    h = None
-    for layer in range(num_layers):
+    uniform = (1.0 / g.degrees[src]).reshape(-1, 1)
+    if weights_out is not None:
+        weights_out.append(uniform)
+    w0 = store["gdn0.w3"]
+    aggregated = _all_ones_propagation(uniform, dst, n, w0.shape[0])
+    h = ad.relu(ad.add_bias(ad.matmul(aggregated, w0), store["gdn0.b3"]))
+    for layer in range(1, num_layers):
         w1 = store[f"gdn{layer}.w1"]
         w2 = store[f"gdn{layer}.w2"]
         beta = store[f"gdn{layer}.beta"]
         w3 = store[f"gdn{layer}.w3"]
         b3 = store[f"gdn{layer}.b3"]
-        if h is None:
-            hi = hj = ad.constant(np.ones((src.size, hidden_dim)))
-        else:
-            hi = ad.row_gather(h, src)
-            hj = ad.row_gather(h, dst)
+        hi = ad.row_gather(h, src)
+        hj = ad.row_gather(h, dst)
         logits = ad.matmul(ad.leaky_relu(ad.add(ad.matmul(hi, w1), ad.matmul(hj, w2)),
                                          LEAKY_SLOPE), beta)
         weights = ad.segment_softmax(logits, src, n)
         if weights_out is not None:
             weights_out.append(weights.values.copy())
-        if h is None:
-            aggregated = ad.mul(ad.segment_sum(weights, dst, n),
-                                ad.constant(np.ones((1, hidden_dim))))
-        else:
-            messages = ad.mul(weights, ad.row_gather(h, src))
-            aggregated = ad.segment_sum(messages, dst, n)
+        messages = ad.mul(weights, ad.row_gather(h, src))
+        aggregated = ad.segment_sum(messages, dst, n)
         h = ad.relu(ad.add_bias(ad.matmul(aggregated, w3), b3))
     return h
 
@@ -149,8 +163,7 @@ def gcn_forward(role_graph: RoleGraph, store: ParamStore, num_layers: int) -> Te
 
     Self-loops are added, so a node without role-graph neighbors keeps
     propagating its own embedding. Layer 0 propagates the all-ones input,
-    whose every column is the same sum of coefficients, so it sums one
-    column and repeats it.
+    a constant column of coefficient sums repeated to every column.
     """
     rg = role_graph.graph
     n = rg.num_nodes
@@ -159,16 +172,11 @@ def gcn_forward(role_graph: RoleGraph, store: ParamStore, num_layers: int) -> Te
     dst = np.concatenate([rg.neighbors, loops])
     deg_tilde = rg.degrees + 1.0
     coeff = (1.0 / np.sqrt(deg_tilde[src] * deg_tilde[dst])).reshape(-1, 1)
-    hidden_dim = store["gcn0.w"].shape[0]
-    z = None
-    for layer in range(num_layers):
-        if z is None:
-            column = np.zeros((n, 1))
-            np.add.at(column, dst, coeff)
-            propagated = ad.constant(np.repeat(column, hidden_dim, axis=1))
-        else:
-            propagated = ad.segment_sum(
-                ad.mul(ad.constant(coeff), ad.row_gather(z, src)), dst, n)
+    w0 = store["gcn0.w"]
+    z = ad.relu(ad.matmul(_all_ones_propagation(coeff, dst, n, w0.shape[0]), w0))
+    for layer in range(1, num_layers):
+        propagated = ad.segment_sum(
+            ad.mul(ad.constant(coeff), ad.row_gather(z, src)), dst, n)
         z = ad.relu(ad.matmul(propagated, store[f"gcn{layer}.w"]))
     return z
 

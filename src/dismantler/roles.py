@@ -202,15 +202,6 @@ def select_rank_mdl(feat: FeatureMatrix, r_min: int, r_max: int, bits: int = 4,
     return best_rank
 
 
-def role_similarity(big_r: np.ndarray, i: int, j: int) -> float:
-    """Cosine similarity of two role-membership rows; 0 if either is all-zero."""
-    a, b = big_r[i], big_r[j]
-    na, nb = np.linalg.norm(a), np.linalg.norm(b)
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 def build_role_graph(big_r: np.ndarray, k: int, chunk: int = 512) -> RoleGraph:
     """Link every node to its k most role-similar nodes (cosine, id tiebreak).
 

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import dismantler.autodiff as ad
 from dismantler.autodiff import (
     ParamStore,
     Tensor,
@@ -9,9 +8,7 @@ from dismantler.autodiff import (
     add,
     add_bias,
     constant,
-    exp,
     leaky_relu,
-    log,
     matmul,
     mul,
     reciprocal_1p,
@@ -102,14 +99,6 @@ class TestForwardValues:
         with pytest.raises(ValueError):
             segment_sum(Tensor(np.ones((3, 1))), np.array([0, 1]), 2)
 
-    def test_debug_finite_check(self):
-        ad.DEBUG_CHECK_FINITE = True
-        try:
-            with np.errstate(over="ignore"), pytest.raises(FloatingPointError):
-                exp(Tensor([[1000.0]]))  # overflows to inf
-        finally:
-            ad.DEBUG_CHECK_FINITE = False
-
 
 class TestBackward:
     def test_sum_gradient_all_ones(self):
@@ -184,8 +173,6 @@ class TestGradientChecks:
         rng = np.random.default_rng(3)
         vals = rng.uniform(0.3, 2.0, size=(4, 3))
         check_grad(sigmoid, vals.copy())
-        check_grad(exp, vals.copy())
-        check_grad(log, vals.copy())
         check_grad(reciprocal_1p, vals.copy())
         # keep away from the kink for relu-like ops
         signed = np.where(rng.random((4, 3)) < 0.5, -1.0, 1.0) * vals

@@ -165,6 +165,18 @@ class TestDismantleCommand:
         err = capsys.readouterr().err
         assert json.loads(err.strip())
 
+    @pytest.mark.parametrize("spec, detail", [
+        ("er:n=100", "needs k"),
+        ("ba:n=100,m=4,q=3", "unknown parameter 'q'"),
+        ("ba:n=100.7,m=4", "'n' must be an integer"),
+    ])
+    def test_bad_generator_spec_fails_with_error_json(self, tmp_path, capsys, spec, detail):
+        assert run("dismantle", "--input", spec, "--method", "dc", "--theta", 0.1,
+                   "--out", tmp_path / "o") == 1
+        [error] = json.loads(capsys.readouterr().err.strip())
+        assert error["error"].startswith("ValueError")
+        assert detail in error["error"]
+
 
 class TestExperimentCommand:
     def test_cardinality_and_summary_mean(self, tmp_path):

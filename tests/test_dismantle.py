@@ -5,14 +5,13 @@ from dismantler.centrality import degree
 from dismantler.dismantle import (
     gcc_trajectory,
     minimal_prefix_tas,
-    ngcc_curve_and_auc,
     random_scores,
     rank_nodes,
-    threshold_sweep,
+    reports_at,
 )
-from dismantler.graph import Graph, generate_ba, remove_nodes
+from dismantler.graph import Graph, generate_ba
 
-from util import brute_gcc_size, complete, path_graph, random_graph, star
+from util import brute_gcc_size, complete, path_graph, random_graph, remove_nodes, star
 
 
 def naive_trajectory(g, ranking):
@@ -103,50 +102,47 @@ class TestTrajectoryEquivalence:
 
 class TestNgccCurve:
     def test_k_zero(self):
-        curve, auc = ngcc_curve_and_auc(star(4), np.arange(5), 0)
-        assert curve.size == 0
-        assert auc == 0.0
+        # theta = 1: the intact star already satisfies the bound
+        [report] = reports_at(star(4), degree(star(4)), [1.0])
+        assert report.tas_size == 0
+        assert report.ngcc_curve.size == 0
+        assert report.auc == 0.0
 
     def test_path_hand_trace(self):
-        g = path_graph(3)
-        curve, auc = ngcc_curve_and_auc(g, np.array([1, 0, 2]), 2)
-        assert np.allclose(curve, [1 / 3, 1 / 3])
-        assert auc == pytest.approx(2 / 3)
+        # ranking [1, 0, 2]: GCC 3, 1, 1, 0; only the whole path gets below 1/3
+        [report] = reports_at(path_graph(3), np.array([2.0, 3.0, 1.0]), [0.2])
+        assert report.tas_size == 3
+        assert np.allclose(report.ngcc_curve, [1 / 3, 1 / 3, 0.0])
+        assert report.auc == pytest.approx(2 / 3)
 
     def test_curves_non_increasing(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
             n = int(rng.integers(2, 60))
             g = random_graph(rng, n, 0.1)
-            curve, _ = ngcc_curve_and_auc(g, rng.permutation(n), n)
-            assert np.all(np.diff(curve) <= 1e-12)
-
-    def test_k_too_large(self):
-        with pytest.raises(ValueError):
-            ngcc_curve_and_auc(star(4), np.arange(5), 6)
+            [report] = reports_at(g, rng.random(n), [0.5 / n])
+            assert report.tas_size == n
+            assert np.all(np.diff(report.ngcc_curve) <= 1e-12)
 
 
 class TestThresholdSweep:
     def test_theta_one_gives_zero(self):
         g = star(4)
-        rhos = threshold_sweep(g, degree(g), [0.2, 1.0])
-        assert rhos[-1] == 0.0
+        reports = reports_at(g, degree(g), [0.2, 1.0])
+        assert reports[-1].rho == 0.0
 
     def test_single_edge_hand_trace(self):
         g = Graph(2, [(0, 1)])
-        rhos = threshold_sweep(g, degree(g), [0.4])
-        assert rhos == [1.0]
+        [report] = reports_at(g, degree(g), [0.4])
+        assert report.rho == 1.0
 
     def test_monotone_non_increasing(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
             g = random_graph(rng, 50, 0.08)
-            rhos = threshold_sweep(g, rng.random(50), [0.05, 0.1, 0.2, 0.4, 0.8])
+            reports = reports_at(g, rng.random(50), [0.05, 0.1, 0.2, 0.4, 0.8])
+            rhos = [report.rho for report in reports]
             assert all(a >= b for a, b in zip(rhos, rhos[1:]))
-
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            threshold_sweep(star(4), degree(star(4)), [0.5, 0.1])
 
 
 class TestCalibrationBaseline:

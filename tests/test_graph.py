@@ -11,12 +11,17 @@ from dismantler.graph import (
     generate_plc,
     generate_ws,
     load_edge_list,
-    remove_nodes,
     save_edge_list,
-    validate_graph,
 )
 
-from util import brute_gcc_size, random_graph, star, triangle
+from util import (
+    brute_gcc_size,
+    random_graph,
+    remove_nodes,
+    star,
+    triangle,
+    validate_graph,
+)
 
 
 def write(tmp_path, text):

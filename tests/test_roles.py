@@ -11,7 +11,6 @@ from dismantler.roles import (
     minmax_scale,
     nmf,
     recursive_aggregate,
-    role_similarity,
     select_rank_mdl,
 )
 
@@ -159,31 +158,6 @@ class TestMdlRankSelection:
             select_rank_mdl(feat, 3, 2)
         with pytest.raises(ValueError):
             select_rank_mdl(feat, 1, 5)
-
-
-class TestRoleSimilarity:
-    def test_identical_rows(self):
-        big_r = np.array([[1.0, 2.0], [1.0, 2.0]])
-        assert role_similarity(big_r, 0, 1) == pytest.approx(1.0)
-
-    def test_orthogonal_rows(self):
-        big_r = np.array([[1.0, 0.0], [0.0, 3.0]])
-        assert role_similarity(big_r, 0, 1) == 0.0
-
-    def test_known_angle(self):
-        big_r = np.array([[1.0, 1.0], [1.0, 0.0]])
-        assert role_similarity(big_r, 0, 1) == pytest.approx(1.0 / np.sqrt(2))
-
-    def test_zero_row_convention(self):
-        big_r = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert role_similarity(big_r, 0, 1) == 0.0
-
-    def test_range_for_nonnegative_rows(self):
-        rng = np.random.default_rng(8)
-        big_r = rng.uniform(0, 1, size=(12, 3))
-        for i in range(12):
-            for j in range(12):
-                assert 0.0 <= role_similarity(big_r, i, j) <= 1.0 + 1e-12
 
 
 class TestRoleGraph:

@@ -2,13 +2,17 @@
 
 The graph oracles here deliberately avoid the package's traversal code: they
 are plain dict-of-sets adjacency plus deque BFS, so they can catch bugs in the
-compressed-adjacency implementations. The full-width encoders are the model's
-unfolded reference, which the folded first layers must match bit for bit.
+compressed-adjacency implementations. `validate_graph` checks the structural
+invariants of a Graph, and `remove_nodes` rebuilds the induced subgraph for
+forward-recomputation oracles. The full-width encoders are the model's
+unfolded reference: every layer of the diffusion encoder, layer 0 included,
+runs softmax attention, which the model replaces by its closed form there.
 The per-source loop centralities are the reference that the block-of-sources
 traversal in `dismantler.centrality` must match.
 """
 
 from collections import deque
+from typing import Iterable
 
 import numpy as np
 
@@ -41,6 +45,44 @@ def cycle(n: int) -> Graph:
 def random_graph(rng: np.random.Generator, n: int, p: float) -> Graph:
     edges = [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p]
     return Graph(n, edges)
+
+
+def validate_graph(g: Graph) -> None:
+    """Check the structural invariants; raises ValueError on violation."""
+    if len(g.offsets) != g.num_nodes + 1 or g.offsets[0] != 0:
+        raise ValueError("bad offsets")
+    if int(g.offsets[-1]) != len(g.neighbors):
+        raise ValueError("offsets do not cover neighbor array")
+    if len(g.neighbors) != 2 * g.num_edges:
+        raise ValueError("neighbor list length != 2 * num_edges")
+    if g.num_nodes and len(g.neighbors):
+        if g.neighbors.min() < 0 or g.neighbors.max() >= g.num_nodes:
+            raise ValueError("neighbor id out of range")
+    seen = set()
+    for i in range(g.num_nodes):
+        nb = g.neighbors_of(i)
+        if np.any(nb == i):
+            raise ValueError(f"self-loop at node {i}")
+        if len(nb) > 1 and np.any(np.diff(nb) <= 0):
+            raise ValueError(f"neighbors of {i} not sorted/unique")
+        for j in nb:
+            seen.add((min(i, int(j)), max(i, int(j))))
+            if i not in g.neighbors_of(int(j)):
+                raise ValueError(f"asymmetric edge ({i}, {j})")
+    if len(seen) != g.num_edges:
+        raise ValueError("edge count mismatch")
+
+
+def remove_nodes(g: Graph, victims: Iterable[int]) -> Graph:
+    """Induced subgraph on the surviving nodes; original labels carried over."""
+    victim_set = set(int(v) for v in victims)
+    if victim_set and (min(victim_set) < 0 or max(victim_set) >= g.num_nodes):
+        raise ValueError("victim id out of range")
+    keep = [i for i in range(g.num_nodes) if i not in victim_set]
+    new_id = {old: new for new, old in enumerate(keep)}
+    edges = [(new_id[u], new_id[v]) for u, v in g.edge_list()
+             if u in new_id and v in new_id]
+    return Graph(len(keep), edges, labels=[g.labels[i] for i in keep])
 
 
 def adjacency_sets(g: Graph) -> dict[int, set[int]]:
@@ -264,16 +306,29 @@ def brute_role_graph(big_r: np.ndarray, k: int, chunk: int = 512) -> Graph:
     return Graph(n, edges)
 
 
+def add_first_layer_attention(store) -> None:
+    """Register random layer-0 attention parameters (W1, W2, beta).
+
+    The model has none, since attention on its all-ones input is uniform;
+    `full_width_gdn_forward` reads them to check exactly that.
+    """
+    d = store["gdn0.w3"].shape[0]
+    store.glorot("gdn0.w1", d, d)
+    store.glorot("gdn0.w2", d, d)
+    store.glorot("gdn0.beta", d, 1)
+
+
 def full_width_gdn_forward(g: Graph, store, num_layers: int,
                            weights_out: list[np.ndarray] | None = None):
-    """`model.gdn_forward` with layer 0 run on the full (E, d) all-ones block.
+    """`model.gdn_forward` with softmax attention in every layer, layer 0 included.
 
-    Every layer gathers both endpoint embeddings and sums weighted messages
-    of width d, as the model did before layer 0 was folded to one column.
+    Layer 0 runs on the full (E, d) all-ones block with the attention
+    parameters that `add_first_layer_attention` registers; every layer
+    gathers both endpoint embeddings and sums weighted messages of width d.
     """
     n = g.num_nodes
     src, dst = g.edge_src, g.neighbors
-    hidden_dim = store["gdn0.w1"].shape[0]
+    hidden_dim = store["gdn0.w3"].shape[0]
     h = ad.constant(np.ones((n, hidden_dim)))
     for layer in range(num_layers):
         w1 = store[f"gdn{layer}.w1"]
