@@ -7,6 +7,13 @@ require them, and an interior tensor's gradient is released as soon as its
 rule has run, so only the leaves (the parameters) hold a grad afterwards.
 This is deliberately small: just the primitives needed for graph encoders
 trained full-batch on one machine.
+
+Every row scatter (`segment_sum`, the backward of `row_gather`) goes through
+`scatter_rows`, which adds the rows in row order and so is bitwise equal to
+the 2-D `np.add.at`. It scatters a chunk of rows at a time through flat
+keys `row * d + col`, so besides its output it holds one transient block of
+at most `_SCATTER_ENTRIES` keys and values. The 1-D `np.add.at` it calls has
+a fast path from numpy 1.25 on; older numpy gives the same sums, slower.
 """
 
 from __future__ import annotations
@@ -14,6 +21,33 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 import numpy as np
+
+# Bound on the flat keys (and value copies) one chunk of `scatter_rows` builds.
+_SCATTER_ENTRIES = 1 << 17
+
+
+def scatter_rows(x: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+    """Row k of the (K, d) array x summed into row index[k] of a zero (num_rows, d).
+
+    Rows are added in row order, so the result is bitwise equal to
+    `np.add.at(np.zeros((num_rows, d)), index, x)`. Chunks of rows are
+    scattered through the flat keys `index[k] * d + col`, which the 1-D
+    `np.add.at` sums much faster than the 2-D one; no chunk builds more than
+    about `_SCATTER_ENTRIES` keys. Indices are not range-checked beyond what
+    `np.add.at` does: callers validate them.
+    """
+    index = np.asarray(index, dtype=np.int64)
+    if index.shape != x.shape[:1]:
+        raise ValueError("scatter index must be 1-D and match the row count")
+    d = x.shape[1]
+    out = np.zeros((num_rows, d))
+    flat = out.reshape(-1)
+    cols = np.arange(d)
+    step = max(1, _SCATTER_ENTRIES // max(d, 1))
+    for start in range(0, index.size, step):
+        keys = index[start:start + step, None] * d + cols
+        np.add.at(flat, keys.reshape(-1), x[start:start + step].reshape(-1))
+    return out
 
 
 def _as2d(values) -> np.ndarray:
@@ -166,10 +200,10 @@ def relu(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor, slope: float = 0.2) -> Tensor:
+    # the backward pass holds the bool mask, an eighth of a float64 scale array
     mask = x.values > 0
-    scale = np.where(mask, 1.0, slope)
-    return Tensor(x.values * scale, parents=(x,),
-                  backward=lambda g: _accumulate(x, g * scale))
+    return Tensor(x.values * np.where(mask, 1.0, slope), parents=(x,),
+                  backward=lambda g: _accumulate(x, g * np.where(mask, 1.0, slope)))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -196,9 +230,7 @@ def row_gather(x: Tensor, index: np.ndarray) -> Tensor:
     out_values = x.values[index]
 
     def backward(g):
-        gx = np.zeros_like(x.values)
-        np.add.at(gx, index, g)
-        _accumulate(x, gx)
+        _accumulate(x, scatter_rows(g, index, x.shape[0]))
 
     return Tensor(out_values, parents=(x,), backward=backward)
 
@@ -213,11 +245,14 @@ def _check_segments(x: Tensor, segments: np.ndarray, num_segments: int) -> np.nd
 
 
 def segment_sum(x: Tensor, segments: np.ndarray, num_segments: int) -> Tensor:
-    """Row-wise sum of x into num_segments buckets; empty buckets are zero."""
+    """Row-wise sum of x into num_segments buckets; empty buckets are zero.
+
+    Rows are summed in row order, bitwise as `np.add.at`, through
+    `scatter_rows` and its transient block of at most `_SCATTER_ENTRIES`
+    entries.
+    """
     segments = _check_segments(x, segments, num_segments)
-    out_values = np.zeros((num_segments, x.shape[1]))
-    np.add.at(out_values, segments, x.values)
-    return Tensor(out_values, parents=(x,),
+    return Tensor(scatter_rows(x.values, segments, num_segments), parents=(x,),
                   backward=lambda g: _accumulate(x, g[segments]))
 
 

@@ -110,8 +110,7 @@ def _all_ones_propagation(weights: np.ndarray, dst: np.ndarray, n: int,
     This is one propagation step of an all-ones input: every column is the
     same weighted sum, so it is summed once and repeated.
     """
-    column = np.zeros((n, 1))
-    np.add.at(column, dst, weights)
+    column = ad.scatter_rows(weights, dst, n)
     return ad.constant(np.repeat(column, width, axis=1))
 
 

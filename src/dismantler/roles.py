@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from dismantler.autodiff import scatter_rows
 from dismantler.graph import Graph
 
 BASE_FEATURE_NAMES = ("degree", "clustering", "egonet_degree_sum", "egonet_edge_ratio")
@@ -121,8 +122,7 @@ def recursive_aggregate(feat: FeatureMatrix, g: Graph, levels: int = 1) -> Featu
     deg = g.degrees.astype(np.float64)
     safe_deg = np.where(deg > 0, deg, 1.0)
     for _ in range(levels):
-        sums = np.zeros_like(vals)
-        np.add.at(sums, g.edge_src, vals[g.neighbors])
+        sums = scatter_rows(vals[g.neighbors], g.edge_src, vals.shape[0])
         means = sums / safe_deg[:, None]
         vals = np.hstack([vals, means, sums])
         names = (names

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dismantler import autodiff
 from dismantler.autodiff import (
     ParamStore,
     Tensor,
@@ -15,11 +16,14 @@ from dismantler.autodiff import (
     reduce_sum,
     relu,
     row_gather,
+    scatter_rows,
     segment_prod,
     segment_softmax,
     segment_sum,
     sigmoid,
 )
+
+from util import add_at_scatter_rows
 
 
 def numeric_grad(fn, values, h=1e-5):
@@ -259,3 +263,62 @@ class TestAdam:
         store.zeros("w", 1, 1)
         with pytest.raises(ValueError):
             store.zeros("w", 2, 2)
+
+
+def _scatter_cases():
+    """Seeded (x, index, num_rows): repeated indices and three buckets no index hits."""
+    rng = np.random.default_rng(21)
+    for d in (1, 3, 32, 40):
+        for rows, buckets in ((1, 1), (17, 5), (300, 40)):
+            yield rng.normal(size=(rows, d)), rng.integers(0, buckets, size=rows), buckets + 3
+
+
+class TestScatterRows:
+    """`scatter_rows` and the ops built on it against one 2-D `np.add.at`."""
+
+    @pytest.fixture(params=[None, 7], ids=["default_chunk", "7_entry_chunk"])
+    def chunk(self, request, monkeypatch):
+        # 7 entries divide none of the row counts and cut d = 32, 40 to one row
+        if request.param is not None:
+            monkeypatch.setattr(autodiff, "_SCATTER_ENTRIES", request.param)
+
+    def test_matches_add_at(self, chunk):
+        for x, index, num_rows in _scatter_cases():
+            assert np.array_equal(scatter_rows(x, index, num_rows),
+                                  add_at_scatter_rows(x, index, num_rows))
+
+    def test_empty_index(self, chunk):
+        for d in (1, 3, 32, 40):
+            x = np.zeros((0, d))
+            index = np.zeros(0, dtype=np.int64)
+            for num_rows in (0, 4):
+                out = scatter_rows(x, index, num_rows)
+                assert out.shape == (num_rows, d)
+                assert np.array_equal(out, add_at_scatter_rows(x, index, num_rows))
+
+    def test_non_contiguous_inputs(self, chunk):
+        rng = np.random.default_rng(22)
+        for d in (1, 3, 32, 40):
+            index = rng.integers(0, 30, size=250)
+            transposed = rng.normal(size=(d, 500))[:, ::2].T
+            column_slice = rng.normal(size=(250, d + 5))[:, 2:2 + d]
+            for x in (transposed, column_slice):
+                assert not x.flags.c_contiguous
+                assert np.array_equal(scatter_rows(x, index, 33),
+                                      add_at_scatter_rows(x, index, 33))
+
+    def test_index_length_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            scatter_rows(np.ones((4, 2)), np.zeros(3, dtype=np.int64), 2)
+
+    def test_segment_sum_matches_add_at(self, chunk):
+        for x, index, num_rows in _scatter_cases():
+            out = segment_sum(constant(x), index, num_rows).values
+            assert np.array_equal(out, add_at_scatter_rows(x, index, num_rows))
+
+    def test_row_gather_backward_matches_add_at(self, chunk):
+        for g, index, num_rows in _scatter_cases():
+            x = Tensor(np.zeros((num_rows, g.shape[1])), requires_grad=True)
+            # the upstream gradient of sum(gathered * g) is g itself, bitwise
+            reduce_sum(mul(row_gather(x, index), constant(g))).backward()
+            assert np.array_equal(x.grad, add_at_scatter_rows(g, index, num_rows))

@@ -18,11 +18,13 @@ from dismantler.model import (
 from dismantler.roles import RoleGraph, build_role_graph, discover_role_graph
 
 from util import (
+    add_at_scatter_rows,
     add_first_layer_attention,
     full_width_gcn_forward,
     full_width_gdn_forward,
     path_graph,
     random_graph,
+    scale_leaky_relu,
     star,
     triangle,
 )
@@ -365,6 +367,36 @@ class TestFoldedFirstLayers:
         for field in ("s_dc", "s_rs", "s_dis", "H", "Z"):
             assert_close(getattr(lean, field), getattr(ref, field), field)
         assert_close(lean.loss_history, ref.loss_history, "loss_history")
+
+
+class TestLeanKernels:
+    """Training is bitwise the same with the chunked flat scatter and the
+    mask-only LeakyReLU as with one 2-D `np.add.at` and the float scale."""
+
+    @pytest.mark.parametrize("ablation", ["full", "no_rs", "no_dc"])
+    def test_training_matches_add_at_kernels(self, monkeypatch, ablation):
+        base = generate_er(150, 5, seed=4)
+        g = Graph(base.num_nodes + 2, base.edge_list())  # two isolated nodes
+        _, rg = discover_role_graph(g, k=5, seed=4)
+        cfg = DcrsConfig(epochs=10, seed=6, ablation=ablation)
+        lean = train(g, rg, cfg)
+        # chunks of 31 rows at d = 32: the scatters cross chunk boundaries
+        monkeypatch.setattr(ad, "_SCATTER_ENTRIES", 1000)
+        chunked = train(g, rg, cfg)
+        calls = []
+
+        def counted_scatter(x, index, num_rows):
+            calls.append(x.shape)
+            return add_at_scatter_rows(x, index, num_rows)
+
+        monkeypatch.setattr(ad, "scatter_rows", counted_scatter)
+        monkeypatch.setattr(ad, "leaky_relu", scale_leaky_relu)
+        ref = train(g, rg, cfg)
+        assert calls, "the oracle scatter was never called"
+        for out in (lean, chunked):
+            for field in ("s_dc", "s_rs", "s_dis", "H", "Z"):
+                assert np.array_equal(getattr(out, field), getattr(ref, field)), field
+            assert out.loss_history == ref.loss_history
 
 
 class TestTraining:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dismantler import roles
 from dismantler.graph import Graph, generate_ba, generate_ws
 from dismantler.roles import (
     FeatureMatrix,
@@ -14,7 +15,14 @@ from dismantler.roles import (
     select_rank_mdl,
 )
 
-from util import brute_role_graph, permute_graph, random_graph, star, triangle
+from util import (
+    add_at_scatter_rows,
+    brute_role_graph,
+    permute_graph,
+    random_graph,
+    star,
+    triangle,
+)
 
 
 class TestEgonetFeatures:
@@ -73,6 +81,18 @@ class TestRecursiveAggregate:
         for name in sums:
             j = out.feature_names.index(name)
             assert out.values[2, j] == 0.0
+
+
+    def test_neighbor_sums_match_add_at(self, monkeypatch):
+        rng = np.random.default_rng(5)
+        base = random_graph(rng, 60, 0.1)
+        g = Graph(base.num_nodes + 2, base.edge_list())  # two isolated nodes
+        feat = egonet_features(g)
+        lean = recursive_aggregate(feat, g, levels=2)
+        monkeypatch.setattr(roles, "scatter_rows", add_at_scatter_rows)
+        ref = recursive_aggregate(feat, g, levels=2)
+        assert lean.feature_names == ref.feature_names
+        assert np.array_equal(lean.values, ref.values)
 
 
 class TestNmf:

@@ -8,7 +8,9 @@ forward-recomputation oracles. The full-width encoders are the model's
 unfolded reference: every layer of the diffusion encoder, layer 0 included,
 runs softmax attention, which the model replaces by its closed form there.
 The per-source loop centralities are the reference that the block-of-sources
-traversal in `dismantler.centrality` must match.
+traversal in `dismantler.centrality` must match. The 2-D `np.add.at` scatter
+and the scale-holding LeakyReLU are the references that the lean autodiff
+kernels must match bitwise.
 """
 
 from collections import deque
@@ -304,6 +306,20 @@ def brute_role_graph(big_r: np.ndarray, k: int, chunk: int = 512) -> Graph:
             picks = row[row != i][:k_eff]
             edges.extend((i, int(j)) for j in picks)
     return Graph(n, edges)
+
+
+def add_at_scatter_rows(x: np.ndarray, index: np.ndarray, num_rows: int) -> np.ndarray:
+    """`autodiff.scatter_rows` as one 2-D `np.add.at` over whole rows."""
+    out = np.zeros((num_rows, x.shape[1]))
+    np.add.at(out, index, x)
+    return out
+
+
+def scale_leaky_relu(x, slope: float = 0.2):
+    """`autodiff.leaky_relu` keeping the float scale array for its backward pass."""
+    scale = np.where(x.values > 0, 1.0, slope)
+    return ad.Tensor(x.values * scale, parents=(x,),
+                     backward=lambda g: ad._accumulate(x, g * scale))
 
 
 def add_first_layer_attention(store) -> None:
